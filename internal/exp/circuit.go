@@ -44,7 +44,7 @@ type CircuitLeg struct {
 }
 
 // CircuitResult is the full comparison plus the steady-state claim:
-// once established, Circuit.Send performs zero RSA operations.
+// once established, circuit sends perform zero RSA operations.
 type CircuitResult struct {
 	Messages  int
 	OneShot   CircuitLeg
@@ -134,7 +134,7 @@ func Circuit(cfg CircuitConfig) (CircuitResult, error) {
 	circLeg := CircuitLeg{Label: "circuit"}
 	before := *src.WCL.CPU()
 	send := func() {
-		src.WCL.SendCircuit(expDest(w, dst, 3), payload, func(r wcl.Result) {
+		src.WCL.SendStream(expDest(w, dst, 3), payload, func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				circLeg.Delivered++
 			}

@@ -177,7 +177,7 @@ func suiteLeg(cfg SuitesConfig, suite crypt.SuiteID) (SuiteLeg, error) {
 	// so the echo traffic above cannot have pre-warmed anything).
 	dst2 := natted[2]
 	t0 := w.Sim.Now()
-	src.WCL.SendCircuit(expDest(w, dst2, 3), payload, func(wcl.Result) {})
+	src.WCL.SendStream(expDest(w, dst2, 3), payload, func(wcl.Result) {})
 	for w.Sim.Now()-t0 < time.Minute && !src.WCL.HasCircuit(dst2.ID()) {
 		w.Sim.RunFor(100 * time.Millisecond)
 	}

@@ -15,8 +15,8 @@ import (
 
 // TransferConfig parameterizes the bulk-transfer comparison: the same
 // confidential byte stream moved between two members of a private
-// group three ways — chunked one-shot onion sends, single-cell circuit
-// sends, and the windowed stream layer — measuring virtual-time
+// group three ways — chunked one-shot onion sends, one-fragment circuit
+// messages, and the windowed stream layer — measuring virtual-time
 // throughput. Chunks are StreamFragSize bytes in every leg, so the
 // comparison isolates the transport (stop-and-wait vs pipelined
 // window), not the framing.
@@ -141,7 +141,7 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	// RSA onion round trip) is outside all three windows; the one-shot
 	// leg never touches it, and the cell and stream legs both get the
 	// same warm state.
-	src.WCL.SendCircuit(expDest(w, dst, 3), []byte("transfer-warmup"), func(wcl.Result) {})
+	src.WCL.SendStream(expDest(w, dst, 3), []byte("transfer-warmup"), func(wcl.Result) {})
 	w.RunFor(15 * time.Second)
 
 	var recvBytes uint64
@@ -157,7 +157,8 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	}
 
 	// chunkedLeg is the strict stop-and-wait driver shared by the
-	// one-shot and cell transports.
+	// one-shot and cell transports. A StreamFragSize chunk handed to
+	// SendStream is a one-fragment circuit message: one cell per send.
 	chunkedLeg := func(label string, send func(wcl.Dest, []byte, func(wcl.Result))) TransferLeg {
 		l := TransferLeg{Label: label}
 		recvBytes = 0
@@ -204,7 +205,7 @@ func Transfer(cfg TransferConfig) (TransferResult, error) {
 	}
 
 	res.OneShot = chunkedLeg("one-shot", src.WCL.Send)
-	res.Cells = chunkedLeg("cells", src.WCL.SendCircuit)
+	res.Cells = chunkedLeg("cells", src.WCL.SendStream)
 
 	// The stream leg: whole messages go to SendStream up front; the
 	// circuit runs them serially (one active stream, the rest queued),

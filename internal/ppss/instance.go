@@ -556,7 +556,7 @@ func (in *Instance) Invite(invitee identity.NodeID) (Accreditation, Entry, error
 func (in *Instance) wclSend(e Entry, encoded []byte, done func(wcl.Result)) {
 	if *in.cfg.PoolCircuits {
 		if _, pooled := in.pcp[e.ID]; pooled || in.r.w.HasCircuit(e.ID) {
-			in.r.w.SendCircuit(e.Dest(), encoded, done)
+			in.r.w.SendStream(e.Dest(), encoded, done)
 			return
 		}
 	}
@@ -580,14 +580,14 @@ func (in *Instance) Send(to Entry, payload []byte, done func(wcl.Result)) {
 
 // SendCircuit delivers an application payload to a group member over a
 // pooled WCL circuit regardless of pool membership: the first send
-// establishes the circuit, subsequent ones ride symmetric cells. This
-// is the fan-out path of the pub/sub layer, whose repeated envelope
-// traffic toward the same matched subscribers is exactly the workload
-// circuits amortize. The circuit layer transparently falls back to a
-// one-shot onion when establishment fails.
+// establishes the circuit, subsequent ones ride symmetric stream cells.
+// This is the fan-out path of the pub/sub layer, whose repeated
+// envelope traffic toward the same matched subscribers is exactly the
+// workload circuits amortize. The circuit layer transparently falls
+// back to a one-shot onion when it cannot carry the message.
 func (in *Instance) SendCircuit(to Entry, payload []byte, done func(wcl.Result)) {
 	m := appMsg{Group: in.grp, Passport: in.passport, From: in.r.SelfEntry(), Payload: payload}
-	in.r.w.SendCircuit(to.Dest(), m.encode(in.cfg.KeyBlobSize), func(res wcl.Result) {
+	in.r.w.SendStream(to.Dest(), m.encode(in.cfg.KeyBlobSize), func(res wcl.Result) {
 		if res.Outcome == wcl.Failed {
 			in.met.sendFailures.Inc()
 		}

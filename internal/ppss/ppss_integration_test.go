@@ -351,15 +351,17 @@ func TestPersistentPoolRidesCircuits(t *testing.T) {
 		t.Fatal("no established circuit to the pooled member")
 	}
 
-	// A pooled application send rides the circuit as a data cell and is
-	// acknowledged hop-free. (The precise zero-RSA steady-state property
-	// is pinned in the wcl package, where no background gossip muddies
-	// the meters; shuffles to non-pooled partners still pay onions.)
+	// A pooled application send rides the circuit as a stream cell and
+	// is acknowledged over it, RSA-free. (The precise zero-RSA
+	// steady-state property is pinned in the wcl package, where no
+	// background gossip muddies the meters; shuffles to non-pooled
+	// partners still pay onions.)
 	target := findMember(members, peer.ID)
 	got := false
 	target.PPSS.Instance(g).OnMessage = func(_ ppss.Entry, p []byte) { got = string(p) == "cell" }
 	before := src.WCL.Stats()
-	if err := a.SendTo(peer.ID, []byte("cell"), nil); err != nil {
+	var res *wcl.Result
+	if err := a.SendTo(peer.ID, []byte("cell"), func(r wcl.Result) { res = &r }); err != nil {
 		t.Fatal(err)
 	}
 	w.Sim.RunFor(30 * time.Second)
@@ -367,11 +369,11 @@ func TestPersistentPoolRidesCircuits(t *testing.T) {
 		t.Fatal("pooled send not delivered")
 	}
 	after := src.WCL.Stats()
-	if after.CellsSent == before.CellsSent {
-		t.Fatal("pooled send did not travel as a circuit cell")
+	if after.CellsSent == before.CellsSent || after.StreamsSent == before.StreamsSent {
+		t.Fatal("pooled send did not travel as a circuit message")
 	}
-	if after.CellsAcked == before.CellsAcked {
-		t.Fatal("pooled cell never acknowledged")
+	if res == nil || res.Outcome == wcl.Failed || after.CellFallbacks != before.CellFallbacks {
+		t.Fatalf("pooled message not acknowledged over the circuit: %+v", res)
 	}
 }
 

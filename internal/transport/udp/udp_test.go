@@ -1,7 +1,6 @@
 package udp
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -117,29 +116,6 @@ func TestUnroutedDropped(t *testing.T) {
 	})
 	if got := a.Unrouted(); got != 1 {
 		t.Fatalf("unrouted = %d, want 1", got)
-	}
-}
-
-// TestRawPath checks that datagrams without the encapsulation magic
-// reach the raw handler (the realudp compatibility surface).
-func TestRawPath(t *testing.T) {
-	a, b := newT(t), newT(t)
-	got := make(chan []byte, 1)
-	b.SetRawHandler(func(payload []byte, from *net.UDPAddr) {
-		got <- payload
-	})
-	a.Start()
-	b.Start()
-	if err := a.SendRaw(b.LocalAddr(), []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-got:
-		if len(p) != 3 || p[0] != 1 {
-			t.Fatalf("raw payload = %v", p)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("raw datagram not delivered")
 	}
 }
 

@@ -13,25 +13,28 @@ import (
 )
 
 // The circuit layer. A Circuit amortizes the onion cost of §III-A over
-// a stream of messages to one destination: establishment runs once
+// a series of messages to one destination: establishment runs once
 // over the one-shot machinery (path selection, RSA per hop) and
 // distributes HKDF-derived per-hop symmetric keys via the setup onion;
-// after that every Circuit.Send is a data cell — one AEAD layer per
-// hop, zero RSA anywhere on the path.
+// after that every message travels as stream fragment cells (stream.go)
+// — one AEAD layer per hop, zero RSA anywhere on the path. Every
+// circuit message, one fragment or many, has the same reliability: the
+// source keeps it until the exit's stream acknowledgement covers it.
 //
 // Source-side state machine, per underlying path:
 //
 //	opening ──ack──▶ established ──rotation/idle/Close──▶ closed
 //	   │                  │
-//	   └─attempts──▶ failed (queued cells fall back to one-shot)
-//	                      └─cell timeout──▶ broken (in-flight cells
-//	                                         fall back to one-shot)
+//	   └─attempts──▶ failed (queued messages fall back to one-shot)
+//	                      └─StreamRetries silent rounds──▶ broken
+//	                         (active messages fall back to one-shot)
 //
 // A Circuit outlives its paths: rotation (max age or max cells) opens
 // a replacement path while the old one keeps carrying traffic, then
-// retires it once its in-flight cells drain. Keepalive pings keep the
-// relay tables of quiet circuits warm; a circuit idle for longer than
-// CircuitIdle is torn down entirely.
+// retires it once its active messages finish. Keepalive pings — sealed
+// cells nobody acknowledges — keep the relay tables of quiet circuits
+// warm; a circuit idle for longer than CircuitIdle is torn down
+// entirely.
 //
 // Relay-side state is a bounded LRU table keyed by circuit ID: the
 // hop's cell key plus forward/backward routing captured at setup.
@@ -45,7 +48,7 @@ type CircuitState uint8
 const (
 	// CircuitOpening: setup in flight, no established path yet.
 	CircuitOpening CircuitState = iota
-	// CircuitEstablished: a path is live; sends travel as data cells.
+	// CircuitEstablished: a path is live; sends travel as stream cells.
 	CircuitEstablished
 	// CircuitRotating: a replacement path is being established while
 	// the current one still carries traffic.
@@ -70,22 +73,13 @@ func (s CircuitState) String() string {
 	}
 }
 
-// circuitQueueMax bounds cells buffered while a circuit establishes;
-// overflow falls back to one-shot sends.
+// circuitQueueMax bounds one-fragment messages buffered while a
+// circuit establishes; overflow falls back to one-shot sends.
 const circuitQueueMax = 128
-
-// pendingCell is one unacknowledged data or keepalive cell.
-type pendingCell struct {
-	payload []byte
-	ping    bool
-	start   time.Duration
-	timer   transport.Timer
-	done    func(Result)
-}
 
 // circPath is one established (or establishing) onion path of a
 // circuit: its wire identifier, the per-hop cell keys, and the
-// in-flight cell window.
+// messages in flight on it.
 type circPath struct {
 	c *Circuit
 
@@ -94,15 +88,14 @@ type circPath struct {
 	first nylon.Descriptor // first mix A
 
 	established   bool
-	closing       bool // retired by rotation, draining in-flight cells
+	closing       bool // retired by rotation, draining active messages
 	closed        bool
 	createdAt     time.Duration
 	establishedAt time.Duration
 
-	cells        int    // data cells sent (rotation budget)
-	seq          uint64 // last cell sequence number issued
-	pendingCells map[uint64]*pendingCell
-	stream       *streamSend // active stream message pinned to this path
+	cells     int           // fragment cells sent (rotation budget)
+	active    []*streamSend // messages pinned to this path, in activation order
+	streamSeq uint64        // last stream ID issued on this path
 
 	// setup state (shares the one-shot attempt budget semantics)
 	attempts int
@@ -120,13 +113,13 @@ type Circuit struct {
 	dest Dest
 
 	cur     *circPath // established path carrying traffic
-	old     *circPath // retired path draining in-flight cells
+	old     *circPath // retired path draining its active messages
 	opening *circPath // replacement or initial path being set up
 
-	queue    []*pendingCell // cells awaiting establishment
-	streamQ  []*streamSend  // stream messages behind the active one
-	lastUsed time.Duration  // last application send
-	lastSent time.Duration  // last cell of any kind (keepalive decision)
+	queue    []*streamSend // one-fragment messages awaiting establishment
+	streamQ  []*streamSend // multi-fragment messages behind the active one
+	lastUsed time.Duration // last application send
+	lastSent time.Duration // last cell of any kind (keepalive decision)
 	keep     transport.Timer
 	closed   bool
 }
@@ -144,18 +137,6 @@ func (w *WCL) OpenCircuit(dest Dest) *Circuit {
 	c := &Circuit{w: w, dest: dest, lastUsed: w.rt.Now()}
 	w.circuits[dest.ID] = c
 	return c
-}
-
-// SendCircuit sends payload over the circuit to dest, establishing one
-// on first use. It works regardless of Config.Circuits (receivers
-// always understand circuit messages); destinations without a known
-// key fail through the one-shot path for identical accounting.
-func (w *WCL) SendCircuit(dest Dest, payload []byte, done func(Result)) {
-	if dest.Key == nil {
-		w.sendOneShot(dest, payload, done)
-		return
-	}
-	w.OpenCircuit(dest).Send(payload, done)
 }
 
 // HasCircuit reports whether an established circuit to id exists —
@@ -182,45 +163,9 @@ func (c *Circuit) State() CircuitState {
 // Dest returns the destination this circuit serves.
 func (c *Circuit) Dest() Dest { return c.dest }
 
-// Send delivers payload over the circuit: as a data cell when a path
-// is established, queued during establishment, and through the
-// one-shot engine when the circuit cannot serve it (closed, setup
-// failed, queue full). done (optional) receives the final Result
-// exactly once in every case.
-func (c *Circuit) Send(payload []byte, done func(Result)) {
-	w := c.w
-	if c.closed {
-		w.sendOneShot(c.dest, payload, done)
-		return
-	}
-	now := w.rt.Now()
-	c.lastUsed = now
-	if p := c.cur; p != nil {
-		if c.opening == nil && w.needsRotation(p, now) {
-			w.met.circuitsRotated.Inc()
-			w.openPath(c)
-		}
-		w.sendCell(c, p, &pendingCell{payload: payload, done: done, start: now})
-		return
-	}
-	if c.opening == nil {
-		w.openPath(c)
-	}
-	if c.closed || c.opening == nil {
-		// Setup failed synchronously (no usable mixes at all).
-		w.sendOneShot(c.dest, payload, done)
-		return
-	}
-	if len(c.queue) >= circuitQueueMax {
-		w.sendOneShot(c.dest, payload, done)
-		return
-	}
-	c.queue = append(c.queue, &pendingCell{payload: payload, done: done, start: now})
-}
-
-// Close tears the circuit down: in-flight cells fall back to one-shot
-// sends, relays are told to drop their entries, and the handle is
-// forgotten so a later Send starts fresh.
+// Close tears the circuit down: active and queued messages fall back
+// to one-shot sends, relays are told to drop their entries, and the
+// handle is forgotten so a later send starts fresh.
 func (c *Circuit) Close() {
 	w := c.w
 	if c.closed {
@@ -235,17 +180,22 @@ func (c *Circuit) Close() {
 	if c.cur != nil {
 		w.closePath(c.cur, true)
 	}
-	q := c.queue
-	c.queue = nil
-	for _, cell := range q {
-		w.sendOneShot(c.dest, cell.payload, cell.done)
-	}
-	sq := c.streamQ
-	c.streamQ = nil
-	for _, s := range sq {
-		w.streamFallback(s)
-	}
+	c.fallBackQueued()
 	w.dropCircuit(c)
+}
+
+// fallBackQueued sends every message still waiting for a path through
+// the one-shot engine: the one-fragment queue first, then the
+// multi-fragment one, each in send order.
+func (c *Circuit) fallBackQueued() {
+	q, sq := c.queue, c.streamQ
+	c.queue, c.streamQ = nil, nil
+	for _, s := range q {
+		c.w.streamFallback(s)
+	}
+	for _, s := range sq {
+		c.w.streamFallback(s)
+	}
 }
 
 func (w *WCL) needsRotation(p *circPath, now time.Duration) bool {
@@ -255,11 +205,10 @@ func (w *WCL) needsRotation(p *circPath, now time.Duration) bool {
 // openPath starts establishing a (new or replacement) path for c.
 func (w *WCL) openPath(c *Circuit) {
 	p := &circPath{
-		c:            c,
-		createdAt:    w.rt.Now(),
-		triedA:       make(map[identity.NodeID]bool),
-		triedB:       make(map[identity.NodeID]bool),
-		pendingCells: make(map[uint64]*pendingCell),
+		c:         c,
+		createdAt: w.rt.Now(),
+		triedA:    make(map[identity.NodeID]bool),
+		triedB:    make(map[identity.NodeID]bool),
 	}
 	c.opening = p
 	w.met.circuitsOpened.Inc()
@@ -364,23 +313,14 @@ func (w *WCL) retrySetup(p *circPath) {
 	w.attemptSetup(p)
 }
 
-// failSetup abandons establishment: queued cells fall back to the
+// failSetup abandons establishment: queued messages fall back to the
 // one-shot engine, and the circuit handle is dropped unless another
 // path still serves it (a failed rotation keeps the old path working).
 func (w *WCL) failSetup(p *circPath) {
 	w.met.circuitsFailed.Inc()
 	c := p.c
 	w.closePath(p, false)
-	q := c.queue
-	c.queue = nil
-	for _, cell := range q {
-		w.sendOneShot(c.dest, cell.payload, cell.done)
-	}
-	sq := c.streamQ
-	c.streamQ = nil
-	for _, s := range sq {
-		w.streamFallback(s)
-	}
+	c.fallBackQueued()
 	if c.cur == nil && c.old == nil && c.opening == nil {
 		w.dropCircuit(c)
 	}
@@ -409,11 +349,10 @@ func (w *WCL) establish(p *circPath) {
 		c.opening = nil
 	}
 	if old := c.cur; old != nil && old != p {
-		// Rotation complete: retire the old path once it drains —
-		// in-flight cells acked AND any pinned stream message finished
-		// (immediately when neither remains). A fragmented message must
-		// never split across circuits: the exit's (circID, seq) dedup
-		// only covers one circuit.
+		// Rotation complete: retire the old path once every message
+		// pinned to it has finished (immediately when none remains). A
+		// message never splits across circuits: the exit reassembles
+		// and deduplicates per (circID, streamID).
 		if w.pathDrained(old) {
 			w.closePath(old, true)
 		} else {
@@ -424,14 +363,14 @@ func (w *WCL) establish(p *circPath) {
 	c.cur = p
 	q := c.queue
 	c.queue = nil
-	for _, cell := range q {
+	for _, s := range q {
 		if c.cur != p {
-			// The path broke while flushing; the remaining cells take
-			// the one-shot road.
-			w.sendOneShot(c.dest, cell.payload, cell.done)
+			// The path broke while flushing; the remaining messages
+			// take the one-shot road.
+			w.streamFallback(s)
 			continue
 		}
-		w.sendCell(c, p, cell)
+		w.activate(p, s)
 	}
 	w.startStreams(c)
 	if c.keep == nil {
@@ -439,64 +378,38 @@ func (w *WCL) establish(p *circPath) {
 	}
 }
 
-// sendCell seals and launches one cell on p.
-func (w *WCL) sendCell(c *Circuit, p *circPath, cell *pendingCell) {
-	typ := cellData
-	if cell.ping {
-		typ = cellPing
-	}
+// sendCell seals one cell of type typ for p and launches it towards
+// the first mix. It reports false when p cannot carry it: the seal
+// failed or the first hop went cold.
+func (w *WCL) sendCell(p *circPath, typ uint8, body []byte) bool {
 	start := time.Now()
-	sealed, err := crypt.SealCell(w.cpu, p.keys, encodeCellPayload(typ, cell.payload))
+	sealed, err := crypt.SealCell(w.cpu, p.keys, encodeCellPayload(typ, body))
 	sealDur := time.Since(start)
 	if err != nil {
-		if !cell.ping {
-			w.met.cellFallbacks.Inc()
-			w.sendOneShot(c.dest, cell.payload, cell.done)
-		}
-		return
+		return false
 	}
 	via, ok := w.node.RouteTo(p.first)
 	if !ok {
-		// The first hop went cold: the path is unusable.
-		if !cell.ping {
-			w.met.cellFallbacks.Inc()
-			w.sendOneShot(c.dest, cell.payload, cell.done)
-		}
-		w.closePath(p, false)
-		return
-	}
-	p.seq++
-	seq := p.seq
-	if !cell.ping {
-		p.cells++
+		return false
 	}
 	w.met.cellsSent.Inc()
 	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, len(sealed), p.id)
-	msg := circDataMsg{CircID: p.id, Seq: seq, Cell: sealed}
+	msg := circDataMsg{CircID: p.id, Cell: sealed}
 	w.node.SendAppVia(p.first, via, msg.encode())
-	c.lastSent = w.rt.Now()
-	p.pendingCells[seq] = cell
-	cell.timer = w.rt.After(w.cfg.PathTimeout, func() {
-		if w.circByID[p.id] == p && p.pendingCells[seq] == cell {
-			w.cellTimeout(p, seq)
-		}
-	})
+	p.c.lastSent = w.rt.Now()
+	return true
 }
 
-// cellTimeout handles a cell that was never acknowledged: the payload
-// falls back to a one-shot send and the path — evidently broken — is
-// torn down (its other in-flight cells fall back too).
-func (w *WCL) cellTimeout(p *circPath, seq uint64) {
-	cell := p.pendingCells[seq]
-	if cell == nil {
-		return
-	}
-	delete(p.pendingCells, seq)
-	if !cell.ping {
-		w.met.cellFallbacks.Inc()
-		w.sendOneShot(p.c.dest, cell.payload, cell.done)
-	}
+// breakPath tears down a path that evidently cannot carry traffic: its
+// active messages fall back to one-shot sends and, when multi-fragment
+// messages still wait behind them, a replacement path starts
+// establishing.
+func (w *WCL) breakPath(p *circPath) {
+	c := p.c
 	w.closePath(p, false)
+	if !c.closed && c.cur == nil && c.opening == nil && len(c.streamQ) > 0 {
+		w.openPath(c)
+	}
 }
 
 // closePath tears one path down. sendClose announces the teardown
@@ -514,22 +427,11 @@ func (w *WCL) closePath(p *circPath, sendClose bool) {
 		p.timer.Cancel()
 		p.timer = nil
 	}
-	// In-flight cells fall back in ascending seq order — the order the
-	// application sent them. Iterating the map directly would re-send
-	// in runtime hash order, nondeterministic under a fixed seed.
-	for _, seq := range sortedSeqs(p.pendingCells) {
-		cell := p.pendingCells[seq]
-		delete(p.pendingCells, seq)
-		if cell.timer != nil {
-			cell.timer.Cancel()
-		}
-		if !cell.ping {
-			w.met.cellFallbacks.Inc()
-			w.sendOneShot(p.c.dest, cell.payload, cell.done)
-		}
-	}
-	if s := p.stream; s != nil {
-		p.stream = nil
+	// Active messages fall back in activation order, which for
+	// one-fragment messages is the order the application sent them.
+	active := p.active
+	p.active = nil
+	for _, s := range active {
 		w.streamFallback(s)
 	}
 	if p.established {
@@ -582,9 +484,14 @@ func (c *Circuit) armKeepalive() {
 			c.Close()
 			return
 		}
+		// A ping is never acknowledged: relays refresh their entries
+		// as it passes and the exit drops it. A broken path is found by
+		// the retransmit rounds of the next message it carries.
 		if p := c.cur; p != nil && now-c.lastSent >= w.cfg.CircuitKeepalive {
 			w.met.keepalives.Inc()
-			w.sendCell(c, p, &pendingCell{ping: true, start: now})
+			if !w.sendCell(p, cellPing, nil) {
+				w.breakPath(p)
+			}
 		}
 		c.armKeepalive()
 	})
@@ -601,39 +508,6 @@ func (w *WCL) handleCircAck(circID uint64) {
 	}
 	if e := w.relayCirc.get(circID, w.rt.Now()); e != nil {
 		w.sendCircBack(e, encodeCircAck(circID))
-	}
-}
-
-// handleCircCellAck resolves an in-flight cell at the source, or
-// relays the acknowledgement backward.
-func (w *WCL) handleCircCellAck(circID, seq uint64) {
-	if p := w.circByID[circID]; p != nil {
-		cell := p.pendingCells[seq]
-		if cell == nil {
-			return
-		}
-		delete(p.pendingCells, seq)
-		if cell.timer != nil {
-			cell.timer.Cancel()
-		}
-		w.met.cellsAcked.Inc()
-		if !cell.ping {
-			r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - cell.start}
-			w.met.cellMS.ObserveDuration(r.Elapsed)
-			if w.OnResult != nil {
-				w.OnResult(p.c.dest.ID, r)
-			}
-			if cell.done != nil {
-				cell.done(r)
-			}
-		}
-		if p.closing && w.pathDrained(p) {
-			w.closePath(p, true)
-		}
-		return
-	}
-	if e := w.relayCirc.get(circID, w.rt.Now()); e != nil {
-		w.sendCircBack(e, encodeCircCellAck(circID, seq))
 	}
 }
 
@@ -708,8 +582,8 @@ func (w *WCL) handleCircSetup(src transport.Endpoint, m *circSetupMsg) {
 	}
 }
 
-// sendCircBack routes a backward circuit message (ack, cell ack) along
-// the reverse routing captured at setup.
+// sendCircBack routes a backward circuit message (setup ack, stream
+// ack) along the reverse routing captured at setup.
 func (w *WCL) sendCircBack(e *relayCircuit, payload []byte) {
 	w.Trace.Emit(obs.KindAck, w.rt.Now(), 0, 0, e.id)
 	if len(e.prevVia) == 0 {
@@ -719,8 +593,8 @@ func (w *WCL) sendCircBack(e *relayCircuit, payload []byte) {
 	w.node.SendAppVia(nylon.Descriptor{ID: e.prevFrom}, e.prevVia, payload)
 }
 
-// handleCircData opens one cell layer: relays pass the cell along,
-// the exit deduplicates, delivers data cells, and acknowledges.
+// handleCircData opens one cell layer: relays pass the cell along, the
+// exit hands stream fragments to reassembly and drops keepalive pings.
 func (w *WCL) handleCircData(m *circDataMsg) {
 	e := w.relayCirc.get(m.CircID, w.rt.Now())
 	if e == nil {
@@ -735,48 +609,23 @@ func (w *WCL) handleCircData(m *circDataMsg) {
 		return
 	}
 	if e.exit {
-		typ, payload, ok := decodeCellPayload(pt)
-		if !ok {
+		typ, body, ok := decodeCellPayload(pt)
+		if !ok || (typ != cellStream && typ != cellPing) {
 			w.met.peelErrors.Inc()
 			return
 		}
-		// Exactly-once under duplication: a repeated cell is only
-		// re-acknowledged (the first ack may have been lost). For
-		// duplicated stream fragments the acknowledgement repeats at
-		// the stream level — the sender tracks fragments, not seqs.
-		if w.deliveredCells.Add(cellKey{m.CircID, m.Seq}) {
-			w.met.dupCells.Inc()
-			if typ == cellStream {
-				if f, err := decodeStreamFrag(payload); err == nil {
-					w.streamReAck(e, f.StreamID)
-				}
-				return
-			}
-			w.sendCircBack(e, encodeCircCellAck(m.CircID, m.Seq))
+		if typ == cellPing {
 			return
 		}
-		if typ == cellStream {
-			f, err := decodeStreamFrag(payload)
-			if err != nil {
-				w.met.peelErrors.Inc()
-				return
-			}
-			// The stream ack (cumulative + selective) carries this
-			// fragment's reliability; no per-cell ack travels for it.
-			w.handleStreamFrag(e, f)
+		f, err := decodeStreamFrag(body)
+		if err != nil {
+			w.met.peelErrors.Inc()
 			return
 		}
-		if typ == cellData {
-			w.met.cellsDelivered.Inc()
-			w.Trace.Emit(obs.KindCellDeliver, w.rt.Now(), dur, len(payload), m.CircID)
-			if w.OnReceive != nil {
-				w.OnReceive(payload)
-			}
-		}
-		w.sendCircBack(e, encodeCircCellAck(m.CircID, m.Seq))
+		w.handleStreamFrag(e, f)
 		return
 	}
-	fwd := circDataMsg{CircID: m.CircID, Seq: m.Seq, Cell: pt}
+	fwd := circDataMsg{CircID: m.CircID, Cell: pt}
 	switch e.nextKind {
 	case addrByEndpoint:
 		w.node.SendAppDirect(e.nextEp, fwd.encode())
@@ -817,9 +666,6 @@ func (w *WCL) handleCircClose(circID uint64) {
 }
 
 // ─── Relay-side circuit table ───
-
-// cellKey identifies one cell for exit-hop deduplication.
-type cellKey struct{ circ, seq uint64 }
 
 // relayCircuit is one hop's state for a circuit passing through it.
 type relayCircuit struct {

@@ -19,7 +19,7 @@ func TestCircuitHandleAppNeverPanics(t *testing.T) {
 	w := newBareWCL(t)
 	src := netem.Endpoint{IP: 9, Port: 9}
 	rng := rand.New(rand.NewSource(46))
-	for _, tag := range []uint8{msgCircSetup, msgCircAck, msgCircData, msgCircCellAck, msgCircClose, msgCircStreamAck} {
+	for _, tag := range []uint8{msgCircSetup, msgCircAck, msgCircData, msgCircClose, msgCircStreamAck} {
 		for i := 0; i < 500; i++ {
 			body := make([]byte, rng.Intn(300))
 			rng.Read(body)
@@ -66,12 +66,12 @@ func TestCircSetupCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCircDataCodecRoundTrip: encode → decode is the identity for data
+// TestCircDataCodecRoundTrip: encode → decode is the identity for
 // cells, and the cell payload framing round-trips its type byte.
 func TestCircDataCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	for i := 0; i < 500; i++ {
-		m := &circDataMsg{CircID: rng.Uint64(), Seq: rng.Uint64(), Cell: make([]byte, rng.Intn(300))}
+		m := &circDataMsg{CircID: rng.Uint64(), Cell: make([]byte, rng.Intn(300))}
 		rng.Read(m.Cell)
 		r := wire.NewReader(m.encode())
 		if got := r.U8(); got != msgCircData {
@@ -81,11 +81,11 @@ func TestCircDataCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec.CircID != m.CircID || dec.Seq != m.Seq || string(dec.Cell) != string(m.Cell) {
+		if dec.CircID != m.CircID || string(dec.Cell) != string(m.Cell) {
 			t.Fatalf("round trip mismatch: %+v != %+v", dec, m)
 		}
 	}
-	for _, typ := range []uint8{cellData, cellPing} {
+	for _, typ := range []uint8{cellPing, cellStream} {
 		payload := []byte("payload-bytes")
 		gotTyp, gotPayload, ok := decodeCellPayload(encodeCellPayload(typ, payload))
 		if !ok || gotTyp != typ || string(gotPayload) != string(payload) {
@@ -97,16 +97,12 @@ func TestCircDataCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCircControlCodecs: the fixed-size control messages (ack, cell
-// ack, close) carry exactly their identifiers.
+// TestCircControlCodecs: the fixed-size control messages (ack, close)
+// carry exactly their identifiers.
 func TestCircControlCodecs(t *testing.T) {
 	r := wire.NewReader(encodeCircAck(7))
 	if r.U8() != msgCircAck || r.U64() != 7 || r.Err() != nil {
 		t.Fatal("circuit ack codec broken")
-	}
-	r = wire.NewReader(encodeCircCellAck(7, 9))
-	if r.U8() != msgCircCellAck || r.U64() != 7 || r.U64() != 9 || r.Err() != nil {
-		t.Fatal("cell ack codec broken")
 	}
 	r = wire.NewReader(encodeCircClose(7))
 	if r.U8() != msgCircClose || r.U64() != 7 || r.Err() != nil {
@@ -148,7 +144,7 @@ func TestCircuitDataWithoutEntry(t *testing.T) {
 	w := newBareWCL(t)
 	delivered := false
 	w.OnReceive = func([]byte) { delivered = true }
-	m := &circDataMsg{CircID: 12345, Seq: 1, Cell: []byte("garbage")}
+	m := &circDataMsg{CircID: 12345, Cell: []byte("garbage")}
 	w.handleApp(netem.Endpoint{IP: 9, Port: 9}, m.encode())
 	if w.Stats().CellDrops != 1 {
 		t.Fatalf("cell drops = %d, want 1", w.Stats().CellDrops)

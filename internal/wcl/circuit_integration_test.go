@@ -16,7 +16,7 @@ import (
 )
 
 // buildCircuitWorld builds a converged world with the given circuit
-// knobs (Circuits itself stays off: the tests drive SendCircuit
+// knobs (Circuits itself stays off: the tests drive SendStream
 // explicitly, which works regardless of the flag).
 func buildCircuitWorld(t testing.TB, seed int64, n int, cfg wcl.Config) *sim.World {
 	t.Helper()
@@ -52,7 +52,7 @@ func TestCircuitEstablishAndZeroRSASteadyState(t *testing.T) {
 
 	// Establish: the first send pays the onion setup.
 	var first *wcl.Result
-	s.WCL.SendCircuit(destFor(w, d, 3), []byte("cell-0"), func(r wcl.Result) { first = &r })
+	s.WCL.SendStream(destFor(w, d, 3), []byte("cell-0"), func(r wcl.Result) { first = &r })
 	w.Sim.RunFor(30 * time.Second)
 	if first == nil || first.Outcome == wcl.Failed {
 		t.Fatalf("establishing send failed: %+v", first)
@@ -73,7 +73,7 @@ func TestCircuitEstablishAndZeroRSASteadyState(t *testing.T) {
 	const cells = 100
 	results := 0
 	for i := 1; i <= cells; i++ {
-		s.WCL.SendCircuit(destFor(w, d, 3), []byte(fmt.Sprintf("cell-%d", i)), func(r wcl.Result) {
+		s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("cell-%d", i)), func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				results++
 			}
@@ -109,8 +109,11 @@ func TestCircuitEstablishAndZeroRSASteadyState(t *testing.T) {
 	if st.CircuitsEstablished != 1 {
 		t.Fatalf("steady state re-established circuits: %d", st.CircuitsEstablished)
 	}
-	if st.CellsAcked < cells {
-		t.Fatalf("CellsAcked=%d < %d", st.CellsAcked, cells)
+	if st.CellFallbacks != 0 {
+		t.Fatalf("%d messages left the circuit for one-shot fallbacks", st.CellFallbacks)
+	}
+	if got := d.WCL.Stats().StreamsDelivered; got != cells+1 {
+		t.Fatalf("exit delivered %d circuit messages, want %d", got, cells+1)
 	}
 	// The cells crossed real relays: someone forwarded them.
 	var forwarded uint64
@@ -135,7 +138,7 @@ func TestCircuitRotation(t *testing.T) {
 	const sends = 24
 	ok := 0
 	for i := 0; i < sends; i++ {
-		s.WCL.SendCircuit(destFor(w, d, 3), []byte(fmt.Sprintf("r-%d", i)), func(r wcl.Result) {
+		s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("r-%d", i)), func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				ok++
 			}
@@ -176,17 +179,31 @@ func TestCircuitKeepaliveAndIdleTeardown(t *testing.T) {
 	s, d := natted[4], natted[5]
 
 	var res *wcl.Result
-	s.WCL.SendCircuit(destFor(w, d, 3), []byte("hello"), func(r wcl.Result) { res = &r })
+	s.WCL.SendStream(destFor(w, d, 3), []byte("hello"), func(r wcl.Result) { res = &r })
 	w.Sim.RunFor(15 * time.Second)
 	if res == nil || res.Outcome == wcl.Failed {
 		t.Fatalf("establishing send failed: %+v", res)
 	}
 
-	// Quiet but not yet idle: pings flow, the circuit stays.
+	// Quiet but not yet idle: pings flow, the circuit stays. Pings are
+	// cells nobody acknowledges: no stream ack crosses the wire.
+	tags := map[byte]int{}
+	w.Net.SetTap(func(dg netem.Datagram) {
+		r := wire.NewReader(dg.Payload)
+		if r.U8() == nylon.MsgApp {
+			if tag := r.U8(); r.Err() == nil {
+				tags[tag]++
+			}
+		}
+	})
 	w.Sim.RunFor(20 * time.Second)
+	w.Net.SetTap(nil)
 	st := s.WCL.Stats()
 	if st.Keepalives == 0 {
 		t.Fatalf("no keepalive ping on a quiet circuit: %+v", st)
+	}
+	if tags[5] == 0 || tags[8] != 0 {
+		t.Fatalf("quiet circuit wire tags %v: want ping cells (5) and no stream acks (8)", tags)
 	}
 	if !s.WCL.HasCircuit(d.ID()) {
 		t.Fatal("circuit torn down before CircuitIdle elapsed")
@@ -205,7 +222,9 @@ func TestCircuitKeepaliveAndIdleTeardown(t *testing.T) {
 
 // TestCircuitBreakFallsBackToOneShot: killing every relay that holds
 // the circuit's table entries breaks the path; in-flight and later
-// sends must still complete via the one-shot fallback.
+// sends must still complete via the one-shot fallback, once their
+// retransmit rounds are exhausted, and report latency from the
+// original send.
 func TestCircuitBreakFallsBackToOneShot(t *testing.T) {
 	w := buildCircuitWorld(t, 44, 120, wcl.Config{})
 	natted := w.LiveNatted()
@@ -215,7 +234,7 @@ func TestCircuitBreakFallsBackToOneShot(t *testing.T) {
 	d.WCL.OnReceive = func(p []byte) { received[string(p)]++ }
 
 	var res *wcl.Result
-	s.WCL.SendCircuit(destFor(w, d, 3), []byte("pre"), func(r wcl.Result) { res = &r })
+	s.WCL.SendStream(destFor(w, d, 3), []byte("pre"), func(r wcl.Result) { res = &r })
 	w.Sim.RunFor(20 * time.Second)
 	if res == nil || res.Outcome == wcl.Failed || !s.WCL.HasCircuit(d.ID()) {
 		t.Fatalf("circuit not established: %+v", res)
@@ -242,7 +261,7 @@ func TestCircuitBreakFallsBackToOneShot(t *testing.T) {
 	results := make([]*wcl.Result, sends)
 	for i := 0; i < sends; i++ {
 		i := i
-		s.WCL.SendCircuit(destFor(w, d, 3), []byte(fmt.Sprintf("post-%d", i)), func(r wcl.Result) {
+		s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("post-%d", i)), func(r wcl.Result) {
 			done[i]++
 			results[i] = &r
 		})
@@ -250,12 +269,16 @@ func TestCircuitBreakFallsBackToOneShot(t *testing.T) {
 	w.Sim.RunFor(2 * time.Minute)
 
 	ok := 0
+	cfg := s.WCL.Config()
 	for i := 0; i < sends; i++ {
 		if done[i] != 1 {
 			t.Fatalf("send %d: done called %d times, want exactly 1", i, done[i])
 		}
 		if results[i].Outcome != wcl.Failed {
 			ok++
+		}
+		if wait := time.Duration(cfg.StreamRetries) * cfg.PathTimeout; results[i].Elapsed < wait {
+			t.Fatalf("send %d: Elapsed %v hides the %v spent on the broken circuit", i, results[i].Elapsed, wait)
 		}
 	}
 	if ok < sends-1 {
@@ -281,8 +304,8 @@ func circTag(payload []byte) byte {
 }
 
 // TestCircuitExactlyOnceUnderDuplication duplicates circuit wire
-// messages — setup, data cells, acks, back-to-back and reordered — and
-// requires exactly-once delivery plus exactly one Result per send.
+// messages — setup, fragment cells, acks, back-to-back and reordered —
+// and requires exactly-once delivery plus exactly one Result per send.
 func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -292,8 +315,8 @@ func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 		{"duplicated setup", map[byte]bool{3: true}, 0},
 		{"duplicated data cell", map[byte]bool{5: true}, 0},
 		{"reordered data cell", map[byte]bool{5: true}, 8 * time.Second},
-		{"duplicated acks", map[byte]bool{4: true, 6: true}, 0},
-		{"everything duplicated", map[byte]bool{3: true, 4: true, 5: true, 6: true, 7: true}, 0},
+		{"duplicated acks", map[byte]bool{4: true, 8: true}, 0},
+		{"everything duplicated", map[byte]bool{3: true, 4: true, 5: true, 7: true, 8: true}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -318,7 +341,7 @@ func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 			ok := 0
 			for i := 0; i < sends; i++ {
 				i := i
-				s.WCL.SendCircuit(destFor(w, d, 3), []byte(fmt.Sprintf("dup-%d", i)), func(r wcl.Result) {
+				s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("dup-%d", i)), func(r wcl.Result) {
 					done[i]++
 					if r.Outcome != wcl.Failed {
 						ok++
@@ -342,12 +365,12 @@ func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 				}
 			}
 			if tc.dup[5] {
-				var dupCells uint64
+				var dups uint64
 				for _, n := range w.Live() {
-					dupCells += n.WCL.Stats().DupCells
+					dups += n.WCL.Stats().DupStreamFrags
 				}
-				if dupCells == 0 {
-					t.Fatal("duplicated data cells were never suppressed at the exit")
+				if dups == 0 {
+					t.Fatal("duplicated fragment cells were never suppressed at the exit")
 				}
 			}
 		})
@@ -355,8 +378,8 @@ func TestCircuitExactlyOnceUnderDuplication(t *testing.T) {
 }
 
 // TestCircuitExactlyOnceUnderFaultModel runs circuit traffic under the
-// netem fault layer duplicating every datagram: the exit's cell dedup
-// must keep delivery exactly-once.
+// netem fault layer duplicating every datagram: the exit's message
+// dedup must keep delivery exactly-once.
 func TestCircuitExactlyOnceUnderFaultModel(t *testing.T) {
 	w, err := sim.NewWorld(sim.Options{
 		Seed:     46,
@@ -384,7 +407,7 @@ func TestCircuitExactlyOnceUnderFaultModel(t *testing.T) {
 	const sends = 12
 	ok := 0
 	for i := 0; i < sends; i++ {
-		s.WCL.SendCircuit(destFor(w, d, 3), []byte(fmt.Sprintf("fault-cell-%d", i)), func(r wcl.Result) {
+		s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("fault-cell-%d", i)), func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				ok++
 			}
@@ -401,12 +424,12 @@ func TestCircuitExactlyOnceUnderFaultModel(t *testing.T) {
 			t.Fatalf("%q delivered %d times, want exactly once", msg, n)
 		}
 	}
-	var dupCells uint64
+	var dups uint64
 	for _, n := range w.Live() {
-		dupCells += n.WCL.Stats().DupCells
+		dups += n.WCL.Stats().DupStreamFrags
 	}
-	if dupCells == 0 {
-		t.Fatal("DupProb=1 produced zero suppressed duplicate cells")
+	if dups == 0 {
+		t.Fatal("DupProb=1 produced zero suppressed duplicate fragments")
 	}
 	if fs := w.Net.FaultStats(); fs.Duplicated == 0 {
 		t.Fatalf("fault model idle: %+v", fs)
@@ -425,8 +448,8 @@ func TestEarlyFailureEmitsOneResultAndNoTrace(t *testing.T) {
 	s.WCL.Trace = obs.NewTracer(uint64(s.Nylon.ID()), cc)
 
 	entryPoints := map[string]func(wcl.Dest, []byte, func(wcl.Result)){
-		"send":        s.WCL.Send,
-		"sendCircuit": s.WCL.SendCircuit,
+		"send":       s.WCL.Send,
+		"sendStream": s.WCL.SendStream,
 	}
 	for name, send := range entryPoints {
 		t.Run(name, func(t *testing.T) {
@@ -517,8 +540,8 @@ func TestCircuitsDisabledIsZeroBehavior(t *testing.T) {
 	for _, n := range w.Live() {
 		st := n.WCL.Stats()
 		if st.CircuitsOpened+st.CircuitsEstablished+st.CircuitsFailed+st.CircuitsRotated+
-			st.CircuitsClosed+st.CellsSent+st.CellsAcked+st.CellsForwarded+st.CellsDelivered+
-			st.DupCells+st.CellDrops+st.CellFallbacks+st.Keepalives != 0 {
+			st.CircuitsClosed+st.CellsSent+st.CellsForwarded+st.CellDrops+st.CellFallbacks+
+			st.Keepalives != 0 {
 			t.Fatalf("node %d has non-zero circuit counters with circuits disabled: %+v", n.ID(), st)
 		}
 		if st.CircuitsOpen != 0 || st.CircuitTableEntries != 0 {
@@ -578,7 +601,7 @@ func TestCircuitRelayTableBounded(t *testing.T) {
 		if len(dest.Helpers) == 0 {
 			continue
 		}
-		s.WCL.SendCircuit(dest, []byte("spread"), nil)
+		s.WCL.SendStream(dest, []byte("spread"), nil)
 		opened++
 		w.Sim.RunFor(2 * time.Second)
 	}

@@ -54,12 +54,6 @@ func (w *WCL) handleApp(src transport.Endpoint, payload []byte) {
 			return
 		}
 		w.handleCircData(m)
-	case msgCircCellAck:
-		circID, seq := r.U64(), r.U64()
-		if r.Err() != nil {
-			return
-		}
-		w.handleCircCellAck(circID, seq)
 	case msgCircClose:
 		circID := r.U64()
 		if r.Err() != nil {

@@ -15,6 +15,14 @@ import (
 
 func newBareWCL(t testing.TB) *WCL {
 	t.Helper()
+	w, _ := newBareWCLOnNet(t)
+	return w
+}
+
+// newBareWCLOnNet returns a lone WCL node and the emulated network it
+// sends into, for tests that tap its outgoing datagrams.
+func newBareWCLOnNet(t testing.TB) (*WCL, *netem.Network) {
+	t.Helper()
 	s := simnet.New(1)
 	nw := netem.New(s, netem.Fixed{})
 	ident := &identity.Identity{ID: 1, Key: identity.TestKeys(1)[0]}
@@ -24,7 +32,7 @@ func newBareWCL(t testing.TB) *WCL {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return w, nw
 }
 
 // TestHandleAppNeverPanics floods the WCL dispatcher with arbitrary app

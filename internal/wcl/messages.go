@@ -8,16 +8,16 @@ import (
 	"whisper/internal/wire"
 )
 
-// WCL message tags (inside nylon MsgApp payloads).
+// WCL message tags (inside nylon MsgApp payloads). Tag 6 stays
+// unassigned: older peers read it as a per-cell acknowledgement.
 const (
-	msgForward uint8 = iota + 1
-	msgAck
-	msgCircSetup
-	msgCircAck
-	msgCircData
-	msgCircCellAck
-	msgCircClose
-	msgCircStreamAck
+	msgForward       uint8 = 1
+	msgAck           uint8 = 2
+	msgCircSetup     uint8 = 3
+	msgCircAck       uint8 = 4
+	msgCircData      uint8 = 5
+	msgCircClose     uint8 = 7
+	msgCircStreamAck uint8 = 8
 )
 
 // forwardMsg carries an onion and its content one WCL hop. The clear
@@ -118,20 +118,20 @@ func decodeCircSetup(r *wire.Reader) (*circSetupMsg, error) {
 	return m, nil
 }
 
-// circDataMsg carries one sealed data cell. Deliberately minimal: no
-// sender, no routing — a relay needs only its table entry, so the
-// steady-state wire format exposes less than a one-shot forward does.
+// circDataMsg carries one sealed cell. Deliberately minimal: no
+// sender, no routing, no sequence number — a relay needs only its
+// table entry, and reliability lives inside the sealed stream frame, so
+// the steady-state wire format exposes less than a one-shot forward
+// does.
 type circDataMsg struct {
 	CircID uint64
-	Seq    uint64
 	Cell   []byte
 }
 
 func (m *circDataMsg) encode() []byte {
-	w := wire.NewWriter(19 + len(m.Cell))
+	w := wire.NewWriter(11 + len(m.Cell))
 	w.U8(msgCircData)
 	w.U64(m.CircID)
-	w.U64(m.Seq)
 	w.Bytes32(m.Cell)
 	return w.Bytes()
 }
@@ -139,7 +139,6 @@ func (m *circDataMsg) encode() []byte {
 func decodeCircData(r *wire.Reader) (*circDataMsg, error) {
 	m := &circDataMsg{}
 	m.CircID = r.U64()
-	m.Seq = r.U64()
 	m.Cell = r.Bytes32()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("wcl: decoding circuit data: %w", err)
@@ -154,14 +153,6 @@ func encodeCircAck(circID uint64) []byte {
 	return w.Bytes()
 }
 
-func encodeCircCellAck(circID, seq uint64) []byte {
-	w := wire.NewWriter(17)
-	w.U8(msgCircCellAck)
-	w.U64(circID)
-	w.U64(seq)
-	return w.Bytes()
-}
-
 func encodeCircClose(circID uint64) []byte {
 	w := wire.NewWriter(9)
 	w.U8(msgCircClose)
@@ -171,9 +162,10 @@ func encodeCircClose(circID uint64) []byte {
 
 // Cell plaintext framing (the innermost layer a circuit exit opens):
 // one type byte followed by the raw payload. cellStream payloads carry
-// the stream-fragment sub-frame below.
+// the stream-fragment sub-frame below; cellPing cells are empty
+// keepalives. Type 1 stays unassigned: older peers deliver it as a
+// whole message.
 const (
-	cellData   uint8 = 1
 	cellPing   uint8 = 2
 	cellStream uint8 = 3
 )
@@ -242,12 +234,13 @@ func decodeStreamFrag(b []byte) (streamFrag, error) {
 	return f, nil
 }
 
-// streamAckMsg travels backwards along the circuit, like a cell ack,
-// and acknowledges stream fragments cumulatively plus selectively: every
-// fragment below Cum has arrived, and bit k of Bits reports fragment
-// Cum+1+k. It exposes (circID, streamID, positions) to relays on the
-// backward path — the same class of cleartext sequencing information the
-// per-cell acks already carry.
+// streamAckMsg travels backwards along the circuit and acknowledges
+// stream fragments cumulatively plus selectively: every fragment below
+// Cum has arrived, and bit k of Bits reports fragment Cum+1+k. It is the
+// only acknowledgement a circuit message gets. It exposes (circID,
+// streamID, positions) to relays on the backward path. Stream IDs count
+// per circuit path from 1 (see activate), so they link nothing beyond
+// the circuit ID the relay already holds.
 type streamAckMsg struct {
 	CircID   uint64
 	StreamID uint64

@@ -208,7 +208,7 @@ func TestCircuitRelayTraceUnlinkable(t *testing.T) {
 	const sends = 20
 	ok := 0
 	for i := 0; i < sends; i++ {
-		s.WCL.SendCircuit(destFor(w, d, 3), []byte("circuit-confidential"), func(r wcl.Result) {
+		s.WCL.SendStream(destFor(w, d, 3), []byte("circuit-confidential"), func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				ok++
 			}
@@ -280,7 +280,7 @@ func TestCircuitRelayTraceUnlinkable(t *testing.T) {
 	const controlSends = 6
 	okCtl := 0
 	for i := 0; i < controlSends; i++ {
-		s2.WCL.SendCircuit(destFor(w, d2, 3), []byte("controlled"), func(r wcl.Result) {
+		s2.WCL.SendStream(destFor(w, d2, 3), []byte("controlled"), func(r wcl.Result) {
 			if r.Outcome != wcl.Failed {
 				okCtl++
 			}

@@ -11,9 +11,9 @@ import (
 )
 
 // Source-side one-shot path engine: every Send pays full path
-// selection and onion construction. Streams that re-contact the same
+// selection and onion construction. Traffic that re-contacts the same
 // destination should ride the circuit layer instead (circuit.go),
-// which also uses this engine as its retry fallback.
+// which also uses this engine as its fallback.
 
 type pendingSend struct {
 	pathID   uint64
@@ -37,13 +37,16 @@ type pendingSend struct {
 // the fallback there).
 func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
 	if w.cfg.Circuits {
-		w.SendCircuit(dest, payload, done)
+		w.SendStream(dest, payload, done)
 		return
 	}
-	w.sendOneShot(dest, payload, done)
+	w.sendOneShot(dest, payload, w.rt.Now(), done)
 }
 
-func (w *WCL) sendOneShot(dest Dest, payload []byte, done func(Result)) {
+// sendOneShot launches payload on the one-shot engine. start is when
+// the application sent it, so a circuit message that falls back here
+// reports Elapsed from its original send.
+func (w *WCL) sendOneShot(dest Dest, payload []byte, start time.Duration, done func(Result)) {
 	w.met.sent.Inc()
 	if dest.Key == nil {
 		w.failEarly(done)
@@ -65,7 +68,7 @@ func (w *WCL) sendOneShot(dest Dest, payload []byte, done func(Result)) {
 		content: content,
 		key:     k,
 		payload: payload,
-		start:   w.rt.Now(),
+		start:   start,
 		triedA:  make(map[identity.NodeID]bool),
 		triedB:  make(map[identity.NodeID]bool),
 		done:    done,

@@ -1,46 +1,56 @@
 package wcl
 
 import (
-	"sort"
 	"time"
 
-	"whisper/internal/crypt"
 	"whisper/internal/obs"
 	"whisper/internal/transport"
 )
 
-// The stream layer. Circuit.SendStream turns a circuit into a true
-// stream transport for arbitrary-size payloads: the message is split
-// into StreamFragSize fragments, each riding one data cell
-// (cellStream), governed by a per-stream sliding send window with
-// cumulative + selective acknowledgements (streamAckMsg). The exit
-// reassembles and delivers the complete message exactly once.
+// The stream layer: how every circuit message travels. SendStream
+// splits the message into StreamFragSize fragments, each riding one
+// sealed cell (cellStream), governed by a per-message sliding send
+// window with cumulative + selective acknowledgements (streamAckMsg).
+// The exit reassembles and delivers the complete message exactly once.
+// A message that fits one fragment is simply a one-fragment stream.
 //
-// Reliability is the stream's own: fragment cells bypass the per-cell
-// pendingCells tracking (the exit sends stream acks, not cell acks,
-// for them), so the window — not a per-cell timer — paces the flow.
-// A retransmission timer re-sends the unacknowledged tail in
-// ascending fragment order; StreamRetries consecutive rounds without
-// any acked progress declare the path broken and the whole message
-// falls back to one one-shot send (same at-least-once caveat across
-// catastrophic path failure as the cell layer's fallback). Karn's
-// rule applies: retransmitted fragments never produce an RTT sample.
+// Reliability is the source keeping each message until the exit's
+// stream acknowledgement covers it. A retransmission timer re-sends the
+// unacknowledged fragments on the same path in ascending order;
+// StreamRetries consecutive rounds without any acked progress declare
+// the path broken, and the path's active messages fall back whole to
+// one-shot sends (at-least-once across such a catastrophic failure: an
+// exit that delivered a message whose acknowledgements were all lost
+// will see it again over the one-shot path). Karn's rule applies:
+// retransmitted fragments never produce an RTT sample.
 //
-// Rotation-drain rule: a stream message is pinned to the circPath its
-// first fragment used and always finishes there. Rotation (and path
-// retirement generally) waits for pathDrained — no pending cells AND
-// no pinned stream — so the exit's per-circuit (circID, seq) dedup
-// always covers a whole message. New stream messages start only on a
-// path that is not due for rotation.
+// Exactly-once at the exit: reassembly state is keyed by (circID,
+// streamID), and a delivered message's key stays in a bounded LRU after
+// its reassembly state is freed, so a late retransmit is acknowledged
+// in full and never delivered twice.
 //
-// Backpressure: one stream is active per circuit; up to StreamQueueMax
-// further messages queue behind it, and overflow is shed immediately
-// with ErrStreamBacklog in Result.Err — bounded memory, explicit
-// refusal, never silent unbounded buffering.
+// Rotation-drain rule: a message is pinned to the circPath its first
+// fragment used and always finishes there. Rotation (and path
+// retirement generally) waits for pathDrained — no active message on
+// the path. New multi-fragment messages start only on a path that is
+// not due for rotation.
+//
+// Scheduling and backpressure: one-fragment messages start as soon as
+// the circuit has an established path, alongside whatever else is in
+// flight; while it establishes they queue up to circuitQueueMax, and
+// overflow goes one-shot. One multi-fragment message is active per
+// path; up to StreamQueueMax further ones queue behind it, and overflow
+// is shed immediately with ErrStreamBacklog in Result.Err — bounded
+// memory, explicit refusal, never silent unbounded buffering.
 
 // streamRecvMax bounds the exit-side reassembly table (entries beyond
 // it evict oldest-first, deterministically).
 const streamRecvMax = 256
+
+// deliveredMsgsMax bounds the exit's delivered-message set. A
+// retransmit can arrive up to StreamRetries × PathTimeout after the
+// first copy; the set must outlive that many newer deliveries.
+const deliveredMsgsMax = 4096
 
 // streamDupAckThreshold is how many consecutive acknowledgements must
 // report the same hole before it is fast-retransmitted (TCP's
@@ -52,7 +62,7 @@ type streamSend struct {
 	c    *Circuit
 	path *circPath // pinned at activation; the message finishes here
 
-	id      uint64
+	id      uint64 // per-path stream ID, assigned at activation
 	payload []byte
 	frags   int
 
@@ -88,17 +98,17 @@ func (s *streamSend) fragData(i int, fragSize int) []byte {
 	return s.payload[lo:hi]
 }
 
-// SendStream sends payload over the circuit as a fragmented,
-// windowed, reliably-acknowledged stream message, reassembled and
-// delivered in one piece at the destination. Messages queue behind
-// the active one up to StreamQueueMax; overflow is refused with
-// Result.Err = ErrStreamBacklog (and oversized payloads with
-// ErrStreamTooLarge). done (optional) observes the final Result
-// exactly once in every case.
+// SendStream sends payload over the circuit as a reliably
+// acknowledged message, fragmented as needed and delivered in one
+// piece at the destination; see the scheduling rules above. Oversized
+// payloads are refused with Result.Err = ErrStreamTooLarge, and
+// multi-fragment messages past the queue bound with ErrStreamBacklog.
+// done (optional) observes the final Result exactly once in every case.
 func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 	w := c.w
+	now := w.rt.Now()
 	if c.closed {
-		w.sendOneShot(c.dest, payload, done)
+		w.sendOneShot(c.dest, payload, now, done)
 		return
 	}
 	nf := (len(payload) + w.cfg.StreamFragSize - 1) / w.cfg.StreamFragSize
@@ -106,19 +116,25 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 		nf = 1 // an empty message still travels as one fragment
 	}
 	if nf > maxStreamFrags {
-		w.shedStream(c, payload, done, ErrStreamTooLarge)
+		w.shedStream(c, done, ErrStreamTooLarge)
 		return
 	}
-	if len(c.streamQ) >= w.cfg.StreamQueueMax {
-		w.shedStream(c, payload, done, ErrStreamBacklog)
+	if nf > 1 && len(c.streamQ) >= w.cfg.StreamQueueMax {
+		w.shedStream(c, done, ErrStreamBacklog)
 		return
 	}
-	now := w.rt.Now()
 	c.lastUsed = now
-	w.streamSeq++
+	if c.cur == nil && c.opening == nil {
+		w.openPath(c)
+	}
+	if c.cur == nil && (c.opening == nil || nf == 1 && len(c.queue) >= circuitQueueMax) {
+		// Setup failed synchronously (no usable mixes at all), or too
+		// many messages already wait for it.
+		w.sendOneShot(c.dest, payload, now, done)
+		return
+	}
 	s := &streamSend{
 		c:        c,
-		id:       w.streamSeq,
 		payload:  payload,
 		frags:    nf,
 		sent:     make([]bool, nf),
@@ -129,15 +145,20 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 		start:    now,
 		done:     done,
 	}
-	c.streamQ = append(c.streamQ, s)
 	w.met.streamsSent.Inc()
-	if c.cur == nil && c.opening == nil {
-		w.openPath(c)
-		if c.closed {
-			return // synchronous setup failure already drained the queue
+	switch p := c.cur; {
+	case nf > 1:
+		c.streamQ = append(c.streamQ, s)
+		w.startStreams(c)
+	case p != nil:
+		if c.opening == nil && w.needsRotation(p, now) {
+			w.met.circuitsRotated.Inc()
+			w.openPath(c)
 		}
+		w.activate(p, s)
+	default:
+		c.queue = append(c.queue, s)
 	}
-	w.startStreams(c)
 }
 
 // SendStream is the destination-keyed convenience: it opens (or
@@ -145,7 +166,7 @@ func (c *Circuit) SendStream(payload []byte, done func(Result)) {
 // Destinations without a known key fall back to the one-shot engine.
 func (w *WCL) SendStream(dest Dest, payload []byte, done func(Result)) {
 	if dest.Key == nil {
-		w.sendOneShot(dest, payload, done)
+		w.sendOneShot(dest, payload, w.rt.Now(), done)
 		return
 	}
 	w.OpenCircuit(dest).SendStream(payload, done)
@@ -153,7 +174,7 @@ func (w *WCL) SendStream(dest Dest, payload []byte, done func(Result)) {
 
 // shedStream refuses a SendStream locally (backpressure or size): no
 // network traffic, the error travels in Result.Err.
-func (w *WCL) shedStream(c *Circuit, payload []byte, done func(Result), err error) {
+func (w *WCL) shedStream(c *Circuit, done func(Result), err error) {
 	w.met.streamsShed.Inc()
 	r := Result{Outcome: Failed, Err: err}
 	if w.OnResult != nil {
@@ -164,13 +185,13 @@ func (w *WCL) shedStream(c *Circuit, payload []byte, done func(Result), err erro
 	}
 }
 
-// startStreams activates the next queued stream message on the
+// startStreams activates the next queued multi-fragment message on the
 // circuit's established path — the message boundary where rotation is
 // allowed to fire: a path due for rotation gets its replacement opened
 // and the message waits for it (the rotation-drain rule).
 func (w *WCL) startStreams(c *Circuit) {
 	p := c.cur
-	if p == nil || p.closed || p.stream != nil || len(c.streamQ) == 0 {
+	if p == nil || p.closed || len(c.streamQ) == 0 || p.bulkActive() {
 		return
 	}
 	if w.needsRotation(p, w.rt.Now()) {
@@ -182,11 +203,42 @@ func (w *WCL) startStreams(c *Circuit) {
 	}
 	s := c.streamQ[0]
 	c.streamQ = c.streamQ[1:]
-	p.stream = s
+	w.activate(p, s)
+}
+
+// activate pins s to p, gives it the path's next stream ID, puts its
+// first window on the wire and arms its retransmission timer. Stream
+// IDs count per path and restart on every new path, so the IDs a relay
+// sees on the cleartext acks link nothing beyond the circuit ID it
+// already holds.
+func (w *WCL) activate(p *circPath, s *streamSend) {
+	p.active = append(p.active, s)
+	p.streamSeq++
+	s.id = p.streamSeq
 	s.path = p
 	w.pumpStream(s)
 	if !s.finished {
 		w.armStreamTimer(s)
+	}
+}
+
+// bulkActive reports whether a multi-fragment message is active on p.
+func (p *circPath) bulkActive() bool {
+	for _, s := range p.active {
+		if s.frags > 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// unpin removes s from p's active messages, keeping their order.
+func (p *circPath) unpin(s *streamSend) {
+	for i, a := range p.active {
+		if a == s {
+			p.active = append(p.active[:i], p.active[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -208,26 +260,12 @@ func (w *WCL) pumpStream(s *streamSend) {
 func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 	p := s.path
 	f := streamFrag{StreamID: s.id, Frag: uint32(i), FragCount: uint32(s.frags), Data: s.fragData(i, w.cfg.StreamFragSize)}
-	start := time.Now()
-	sealed, err := crypt.SealCell(w.cpu, p.keys, encodeCellPayload(cellStream, f.encode()))
-	sealDur := time.Since(start)
-	if err != nil {
-		w.streamBroken(s)
+	if !w.sendCell(p, cellStream, f.encode()) {
+		w.breakPath(p)
 		return false
 	}
-	via, ok := w.node.RouteTo(p.first)
-	if !ok {
-		w.streamBroken(s)
-		return false
-	}
-	p.seq++
 	p.cells++
-	w.met.cellsSent.Inc()
 	w.met.streamFragsSent.Inc()
-	w.Trace.Emit(obs.KindCellSend, w.rt.Now(), sealDur, len(sealed), p.id)
-	msg := circDataMsg{CircID: p.id, Seq: p.seq, Cell: sealed}
-	w.node.SendAppVia(p.first, via, msg.encode())
-	s.c.lastSent = w.rt.Now()
 	if !s.sent[i] {
 		s.sent[i] = true
 		s.inflight++
@@ -241,10 +279,9 @@ func (w *WCL) sendStreamFrag(s *streamSend, i int) bool {
 func (w *WCL) armStreamTimer(s *streamSend) {
 	s.timer = w.rt.After(w.cfg.PathTimeout, func() {
 		s.timer = nil
-		if s.finished || s.path == nil || s.path.stream != s {
-			return
+		if !s.finished {
+			w.streamTimerFire(s)
 		}
-		w.streamTimerFire(s)
 	})
 }
 
@@ -259,7 +296,7 @@ func (w *WCL) streamTimerFire(s *streamSend) {
 	}
 	s.progress = false
 	if s.rounds >= w.cfg.StreamRetries {
-		w.streamBroken(s)
+		w.breakPath(s.path)
 		return
 	}
 	for i := s.cum; i < s.next; i++ {
@@ -281,8 +318,11 @@ func (w *WCL) streamTimerFire(s *streamSend) {
 // or relays it backward along the stored reverse routing.
 func (w *WCL) handleCircStreamAck(m streamAckMsg) {
 	if p := w.circByID[m.CircID]; p != nil {
-		if s := p.stream; s != nil && s.id == m.StreamID && !s.finished {
-			w.streamAcked(s, m)
+		for _, s := range p.active {
+			if s.id == m.StreamID {
+				w.streamAcked(s, m)
+				break
+			}
 		}
 		return
 	}
@@ -361,94 +401,69 @@ func (w *WCL) streamAcked(s *streamSend, m streamAckMsg) {
 	w.pumpStream(s)
 }
 
-// finishStream completes a fully acknowledged stream message: the
-// Result fires, the path unpins (closing paths retire once drained),
-// and the next queued message starts.
+// finishStream completes a fully acknowledged message: the Result
+// fires, the path unpins it (a closing path retires once drained), and
+// the next queued multi-fragment message starts.
 func (w *WCL) finishStream(s *streamSend) {
 	if s.finished {
 		return
 	}
-	s.finished = true
-	if s.timer != nil {
-		s.timer.Cancel()
-		s.timer = nil
-	}
 	p := s.path
-	if p != nil && p.stream == s {
-		p.stream = nil
-	}
-	w.met.streamWindow.Add(-int64(s.inflight))
-	s.inflight = 0
-	c := s.c
+	w.endStream(s)
 	r := Result{Outcome: Success, Attempts: 1, Elapsed: w.rt.Now() - s.start}
+	w.met.circuitMS.ObserveDuration(r.Elapsed)
 	if w.OnResult != nil {
-		w.OnResult(c.dest.ID, r)
+		w.OnResult(s.c.dest.ID, r)
 	}
 	if s.done != nil {
 		s.done(r)
 	}
-	if p != nil && p.closing && !p.closed && w.pathDrained(p) {
+	if p.closing && !p.closed && w.pathDrained(p) {
 		w.closePath(p, true)
 	}
-	if !c.closed {
-		w.startStreams(c)
+	if !s.c.closed {
+		w.startStreams(s.c)
 	}
 }
 
 // streamFallback re-sends the whole message through the one-shot
-// engine — the stream's terminal failure path (path broken, rotation
-// replacement failed). done fires from the one-shot machinery.
+// engine — the terminal path for a message whose circuit cannot carry
+// it (path broken, setup or rotation failed, circuit closed). done
+// fires from the one-shot machinery, with Elapsed measured from the
+// original send.
 func (w *WCL) streamFallback(s *streamSend) {
 	if s.finished {
 		return
 	}
+	w.endStream(s)
+	if s.frags == 1 {
+		w.met.cellFallbacks.Inc()
+	} else {
+		w.met.streamFallbacks.Inc()
+	}
+	w.sendOneShot(s.c.dest, s.payload, s.start, s.done)
+}
+
+// endStream retires s from the send side: timer cancelled, unpinned
+// from its path, window gauge released.
+func (w *WCL) endStream(s *streamSend) {
 	s.finished = true
 	if s.timer != nil {
 		s.timer.Cancel()
 		s.timer = nil
 	}
-	if s.path != nil && s.path.stream == s {
-		s.path.stream = nil
+	if s.path != nil {
+		s.path.unpin(s)
 	}
 	w.met.streamWindow.Add(-int64(s.inflight))
 	s.inflight = 0
-	w.met.streamFallbacks.Inc()
-	w.sendOneShot(s.c.dest, s.payload, s.done)
 }
 
-// streamBroken handles a path evidently broken mid-stream: the message
-// falls back whole, the path tears down, and — queued work permitting
-// — a replacement path starts establishing.
-func (w *WCL) streamBroken(s *streamSend) {
-	p := s.path
-	c := s.c
-	w.streamFallback(s)
-	if p != nil && !p.closed {
-		w.closePath(p, false)
-	}
-	if !c.closed && c.cur == nil && c.opening == nil && (len(c.streamQ) > 0 || len(c.queue) > 0) {
-		w.openPath(c)
-	}
-}
-
-// pathDrained reports whether p carries no in-flight work: the
-// condition rotation and retirement wait for, so a fragmented message
-// never splits across circuits (the rotation-drain rule).
+// pathDrained reports whether p carries no active message: the
+// condition rotation and retirement wait for, so a message never
+// splits across circuits (the rotation-drain rule).
 func (w *WCL) pathDrained(p *circPath) bool {
-	return len(p.pendingCells) == 0 && p.stream == nil
-}
-
-// sortedSeqs returns the pending-cell sequence numbers in ascending
-// order. Draining through this keeps teardown deterministic — Go map
-// iteration order must never decide the order user payloads re-send
-// in (it once did; fixed, regression-pinned).
-func sortedSeqs(m map[uint64]*pendingCell) []uint64 {
-	seqs := make([]uint64, 0, len(m))
-	for seq := range m {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs
+	return len(p.active) == 0
 }
 
 // ─── Exit-side reassembly ───
@@ -456,28 +471,34 @@ func sortedSeqs(m map[uint64]*pendingCell) []uint64 {
 // streamKey identifies one stream message's reassembly state.
 type streamKey struct{ circ, stream uint64 }
 
-// streamRecvState reassembles one stream message at the exit. After
-// delivery the fragment data is freed but the entry is retained (with
-// delivered set) so late retransmits are re-acknowledged as fully
-// received rather than re-collected.
+// streamRecvState reassembles one stream message at the exit. It is
+// freed on delivery; the message's key then moves to the delivered
+// set.
 type streamRecvState struct {
-	frags     [][]byte
-	have      []bool
-	cum       int // contiguous received prefix length
-	haveN     int
-	total     int
-	delivered bool
-	lastSeen  time.Duration
+	frags    [][]byte
+	have     []bool
+	cum      int // contiguous received prefix length
+	haveN    int
+	total    int
+	lastSeen time.Duration
 }
 
 // handleStreamFrag processes one stream-fragment cell at the exit:
 // collect, acknowledge the current cumulative+selective state, and
-// deliver the reassembled message exactly once when complete.
+// deliver the reassembled message exactly once when complete. A
+// fragment of an already delivered message is answered with a full
+// acknowledgement and never delivered again.
 func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 	now := w.rt.Now()
 	k := streamKey{e.id, f.StreamID}
 	st := w.streamRecv[k]
 	if st == nil {
+		if w.deliveredMsgs.Contains(k) {
+			w.met.dupStreamFrags.Inc()
+			ack := streamAckMsg{CircID: e.id, StreamID: f.StreamID, Cum: f.FragCount}
+			w.sendCircBack(e, ack.encode())
+			return
+		}
 		w.pruneStreamRecv(now)
 		st = &streamRecvState{
 			frags: make([][]byte, f.FragCount),
@@ -494,7 +515,7 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 		w.met.peelErrors.Inc()
 		return
 	}
-	if st.delivered || st.have[i] {
+	if st.have[i] {
 		w.met.dupStreamFrags.Inc()
 		w.sendStreamAck(e, f.StreamID, st)
 		return
@@ -507,7 +528,8 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 		st.cum++
 	}
 	if st.haveN == st.total {
-		st.delivered = true
+		delete(w.streamRecv, k)
+		w.deliveredMsgs.Add(k)
 		size := 0
 		for _, fr := range st.frags {
 			size += len(fr)
@@ -516,7 +538,6 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 		for _, fr := range st.frags {
 			buf = append(buf, fr...)
 		}
-		st.frags = nil // reassembly buffers freed; delivered entry re-acks
 		w.met.streamsDelivered.Inc()
 		w.met.streamBytes.Observe(float64(size))
 		w.Trace.Emit(obs.KindCellDeliver, now, 0, size, e.id)
@@ -525,18 +546,6 @@ func (w *WCL) handleStreamFrag(e *relayCircuit, f streamFrag) {
 		}
 	}
 	w.sendStreamAck(e, f.StreamID, st)
-}
-
-// streamReAck answers a deduplicated (replayed) fragment cell: the
-// content was already processed under its original seq, so only the
-// acknowledgement is repeated — and only when reassembly state still
-// exists (recreating state from a replay could double-deliver).
-func (w *WCL) streamReAck(e *relayCircuit, streamID uint64) {
-	if st := w.streamRecv[streamKey{e.id, streamID}]; st != nil {
-		w.met.dupStreamFrags.Inc()
-		st.lastSeen = w.rt.Now()
-		w.sendStreamAck(e, streamID, st)
-	}
 }
 
 // sendStreamAck emits the stream's current cumulative + selective

@@ -272,7 +272,7 @@ func TestStreamBrokenPathFallsBack(t *testing.T) {
 
 	// Establish first so the relays hold state to kill.
 	var est *wcl.Result
-	s.WCL.SendCircuit(destFor(w, d, 3), []byte("warm"), func(r wcl.Result) { est = &r })
+	s.WCL.SendStream(destFor(w, d, 3), []byte("warm"), func(r wcl.Result) { est = &r })
 	w.Sim.RunFor(20 * time.Second)
 	if est == nil || est.Outcome == wcl.Failed || !s.WCL.HasCircuit(d.ID()) {
 		t.Fatalf("circuit not established: %+v", est)
@@ -318,10 +318,11 @@ func TestStreamBrokenPathFallsBack(t *testing.T) {
 }
 
 // TestStreamsDisabledIsZeroBehavior pins the zero-behavior contract:
-// plain one-shot and single-cell circuit traffic never put the stream
-// ack tag (8) or a cellStream fragment on the wire, and every stream
-// counter stays at zero on every node — the stream code is provably
-// off-path until SendStream is called.
+// plain one-shot traffic never puts a circuit cell (tag 5) or a stream
+// ack (tag 8) on the wire, and every stream counter stays at zero on
+// every node — the stream code, which carries every circuit message,
+// is provably off-path until SendStream is called. The first SendStream
+// then shows both tags on the same tap (positive control).
 func TestStreamsDisabledIsZeroBehavior(t *testing.T) {
 	w := buildCircuitWorld(t, 65, 120, wcl.Config{})
 	tagsSeen := map[byte]int{}
@@ -340,20 +341,11 @@ func TestStreamsDisabledIsZeroBehavior(t *testing.T) {
 	ok := 0
 	const sends = 8
 	for i := 0; i < sends; i++ {
-		payload := []byte(fmt.Sprintf("plain-%d", i))
-		if i%2 == 0 {
-			s.WCL.Send(destFor(w, d, 3), payload, func(r wcl.Result) {
-				if r.Outcome != wcl.Failed {
-					ok++
-				}
-			})
-		} else {
-			s.WCL.SendCircuit(destFor(w, d, 3), payload, func(r wcl.Result) {
-				if r.Outcome != wcl.Failed {
-					ok++
-				}
-			})
-		}
+		s.WCL.Send(destFor(w, d, 3), []byte(fmt.Sprintf("plain-%d", i)), func(r wcl.Result) {
+			if r.Outcome != wcl.Failed {
+				ok++
+			}
+		})
 		w.Sim.RunFor(2 * time.Second)
 	}
 	w.Sim.RunFor(time.Minute)
@@ -361,11 +353,11 @@ func TestStreamsDisabledIsZeroBehavior(t *testing.T) {
 		t.Fatalf("only %d/%d sends succeeded", ok, sends)
 	}
 
-	if tagsSeen[5] == 0 {
-		t.Fatalf("tap missed circuit data cells (parse drift?): %v", tagsSeen)
+	if tagsSeen[1] == 0 {
+		t.Fatalf("tap missed one-shot forwards (parse drift?): %v", tagsSeen)
 	}
-	if tagsSeen[8] != 0 {
-		t.Fatalf("stream ack tag appeared %d times without any SendStream", tagsSeen[8])
+	if tagsSeen[5] != 0 || tagsSeen[8] != 0 {
+		t.Fatalf("circuit cells or stream acks on the wire without any SendStream: %v", tagsSeen)
 	}
 	for _, n := range w.Live() {
 		st := n.WCL.Stats()
@@ -375,6 +367,135 @@ func TestStreamsDisabledIsZeroBehavior(t *testing.T) {
 		}
 		if st.StreamWindow != 0 {
 			t.Fatalf("node %d has window gauge %d without SendStream", n.ID(), st.StreamWindow)
+		}
+	}
+
+	var res *wcl.Result
+	s.WCL.SendStream(destFor(w, d, 3), []byte("first-stream"), func(r wcl.Result) { res = &r })
+	w.Sim.RunFor(30 * time.Second)
+	if res == nil || res.Outcome == wcl.Failed {
+		t.Fatalf("positive control send failed: %+v", res)
+	}
+	if tagsSeen[5] == 0 || tagsSeen[8] == 0 {
+		t.Fatalf("tap missed the stream's cells or acks (parse drift?): %v", tagsSeen)
+	}
+}
+
+// TestCircuitExactlyOnceUnderPlanetLabLoss is the regression for
+// duplicate delivery under ordinary loss: a stream of one-fragment
+// circuit messages to a NATted peer across PlanetLab-like links. Lost
+// fragments and lost acknowledgements are repaired on the same circuit
+// by retransmission, which the exit deduplicates per message — no
+// message falls back to a one-shot send and none is delivered twice.
+func TestCircuitExactlyOnceUnderPlanetLabLoss(t *testing.T) {
+	w, err := sim.NewWorld(sim.Options{
+		Seed:     47,
+		N:        120,
+		NATRatio: 0.7,
+		KeyPool:  identity.TestPool(64),
+		Model:    netem.DefaultPlanetLab(),
+		WCL:      &wcl.Config{MinPublic: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.StartAll()
+	w.Sim.RunUntil(5 * time.Minute)
+
+	natted := w.LiveNatted()
+	s, d := natted[0], natted[1]
+	received := map[string]int{}
+	d.WCL.OnReceive = func(p []byte) { received[string(p)]++ }
+
+	const sends = 200
+	done := make([]int, sends)
+	ok := 0
+	for i := 0; i < sends; i++ {
+		i := i
+		s.WCL.SendStream(destFor(w, d, 3), []byte(fmt.Sprintf("loss-%d", i)), func(r wcl.Result) {
+			done[i]++
+			if r.Outcome != wcl.Failed {
+				ok++
+			}
+		})
+		w.Sim.RunFor(250 * time.Millisecond)
+	}
+	w.Sim.RunFor(2 * time.Minute)
+
+	for i := 0; i < sends; i++ {
+		if done[i] != 1 {
+			t.Fatalf("send %d: done fired %d times, want exactly 1", i, done[i])
+		}
+	}
+	dups := 0
+	for _, n := range received {
+		if n > 1 {
+			dups++
+		}
+	}
+	st := s.WCL.Stats()
+	if dups != 0 || len(received) != sends || ok != sends {
+		t.Fatalf("%d/%d delivered, %d more than once, %d succeeded (fallbacks=%d retransmits=%d)",
+			len(received), sends, dups, ok, st.CellFallbacks, st.StreamRetransmits)
+	}
+	if st.CellFallbacks != 0 {
+		t.Fatalf("%d messages fell back to one-shot sends; loss should be repaired on the circuit", st.CellFallbacks)
+	}
+	if st.StreamRetransmits == 0 {
+		t.Fatal("no retransmission under PlanetLab loss — the test exercises less than intended")
+	}
+}
+
+// TestStreamIDsCountPerPath: the stream IDs relays read on cleartext
+// stream acks must not link circuits. One source sends to two peers
+// alternately, rotating paths often; on every circuit ID seen on the
+// wire the stream IDs are exactly 1..k, so no circuit's IDs reveal how
+// many messages its source sent on other circuits, before or after.
+func TestStreamIDsCountPerPath(t *testing.T) {
+	w := buildCircuitWorld(t, 66, 120, wcl.Config{CircuitMaxCells: 5})
+	ids := map[uint64]map[uint64]bool{} // circID → stream IDs acked
+	w.Net.SetTap(func(dg netem.Datagram) {
+		r := wire.NewReader(dg.Payload)
+		if r.U8() != nylon.MsgApp || r.U8() != 8 {
+			return
+		}
+		circ, stream := r.U64(), r.U64()
+		if r.Err() != nil {
+			return
+		}
+		if ids[circ] == nil {
+			ids[circ] = map[uint64]bool{}
+		}
+		ids[circ][stream] = true
+	})
+
+	natted := w.LiveNatted()
+	s, d1, d2 := natted[0], natted[1], natted[2]
+	const rounds = 12
+	ok := 0
+	count := func(r wcl.Result) {
+		if r.Outcome != wcl.Failed {
+			ok++
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		s.WCL.SendStream(destFor(w, d1, 3), []byte(fmt.Sprintf("a-%d", i)), count)
+		s.WCL.SendStream(destFor(w, d2, 3), []byte(fmt.Sprintf("b-%d", i)), count)
+		w.Sim.RunFor(2 * time.Second)
+	}
+	w.Sim.RunFor(30 * time.Second)
+
+	if ok < 2*rounds-1 {
+		t.Fatalf("only %d/%d sends succeeded", ok, 2*rounds)
+	}
+	if s.WCL.Stats().CircuitsRotated == 0 || len(ids) < 3 {
+		t.Fatalf("saw %d circuit IDs and no rotation — test covers less than intended", len(ids))
+	}
+	for circ, set := range ids {
+		for id := uint64(1); id <= uint64(len(set)); id++ {
+			if !set[id] {
+				t.Fatalf("circuit %x carried stream IDs %v, want exactly 1..%d", circ, set, len(set))
+			}
 		}
 	}
 }

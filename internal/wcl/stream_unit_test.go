@@ -2,103 +2,116 @@ package wcl
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"whisper/internal/identity"
 	"whisper/internal/netem"
 	"whisper/internal/nylon"
-	"whisper/internal/simnet"
-	simtr "whisper/internal/transport/simnet"
 	"whisper/internal/wire"
 )
 
-func newBareWCLWith(t testing.TB, cfg Config) *WCL {
-	t.Helper()
-	s := simnet.New(1)
-	nw := netem.New(s, netem.Fixed{})
-	ident := &identity.Identity{ID: 1, Key: identity.TestKeys(1)[0]}
-	node := nylon.NewNode(simtr.New(s, nw), ident, 0, netem.Endpoint{IP: 5, Port: 1}, nil,
-		nylon.Config{KeySampling: true, KeyBlobSize: 256})
-	w, err := New(node, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// TestClosePathDrainsPendingInSeqOrder is the regression for the
-// map-order drain bug: when a path tears down with many cells in
-// flight, their one-shot fallbacks must launch in ascending sequence
-// order — the order the application sent them — not in Go map
-// iteration order (which varies run to run and once decided resend
-// order here).
+// TestClosePathDrainsPendingInSeqOrder: when a path tears down with
+// many messages in flight, their one-shot fallbacks launch in the order
+// the application sent them — also after acknowledgements removed
+// messages from the middle of the path's active set — and each counts
+// as a cell or stream fallback by its fragment count.
 func TestClosePathDrainsPendingInSeqOrder(t *testing.T) {
-	w := newBareWCLWith(t, Config{})
+	w := newBareWCL(t)
 	// A destination with no key makes every fallback fail synchronously
 	// through failEarly, so the done-callback order IS the drain order.
 	c := &Circuit{w: w, dest: Dest{ID: 42}}
-	p := &circPath{c: c, pendingCells: make(map[uint64]*pendingCell)}
+	p := &circPath{c: c}
+	c.cur = p
 
-	seqs := []uint64{7, 3, 11, 1, 9, 5, 12, 2, 10, 4, 8, 6}
 	var order []uint64
-	for _, seq := range seqs {
-		seq := seq
-		p.pendingCells[seq] = &pendingCell{
-			payload: []byte{byte(seq)},
-			done:    func(Result) { order = append(order, seq) },
+	for id := uint64(1); id <= 12; id++ {
+		id := id
+		frags := 1
+		if id == 5 {
+			frags = 3
 		}
+		p.active = append(p.active, &streamSend{
+			c: c, path: p, id: id, payload: []byte{byte(id)}, frags: frags,
+			done: func(Result) { order = append(order, id) },
+		})
 	}
+	// Acknowledged messages leave the middle of the set.
+	for _, s := range []*streamSend{p.active[2], p.active[6], p.active[7]} {
+		w.finishStream(s)
+	}
+	order = nil
 	w.closePath(p, false)
 
-	if len(order) != len(seqs) {
-		t.Fatalf("drained %d cells, want %d", len(order), len(seqs))
+	want := []uint64{1, 2, 4, 5, 6, 9, 10, 11, 12}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("drain order %v, want %v", order, want)
 	}
-	for i, seq := range order {
-		if want := uint64(i + 1); seq != want {
-			t.Fatalf("drain order %v: position %d is seq %d, want %d", order, i, seq, want)
-		}
-	}
-	if got := w.Stats().CellFallbacks; got != uint64(len(seqs)) {
-		t.Fatalf("CellFallbacks = %d, want %d", got, len(seqs))
+	st := w.Stats()
+	if st.CellFallbacks != uint64(len(want)-1) || st.StreamFallbacks != 1 {
+		t.Fatalf("fallbacks cell=%d stream=%d, want %d and 1", st.CellFallbacks, st.StreamFallbacks, len(want)-1)
 	}
 }
 
-// TestCellDedupClampedToWindow pins the exactly-once invariant between
-// the exit's (circID, seq) dedup LRU and the stream send window: the
-// dedup capacity must never be configurable below 4× the window (a
-// window's worth of fragments can be retransmitted under fresh seqs),
-// or a late retransmit of an evicted seq would be re-delivered.
-func TestCellDedupClampedToWindow(t *testing.T) {
+// TestLateRetransmitAfterEvictionNotRedelivered: once a delivered
+// one-fragment message's reassembly state is gone — and more than
+// streamRecvMax newer messages have passed the exit — a late
+// retransmit of it is acknowledged in full and not delivered again.
+func TestLateRetransmitAfterEvictionNotRedelivered(t *testing.T) {
+	w, nw := newBareWCLOnNet(t)
+	got := map[string]int{}
+	w.OnReceive = func(p []byte) { got[string(p)]++ }
+	var acks []streamAckMsg
+	nw.SetTap(func(dg netem.Datagram) {
+		r := wire.NewReader(dg.Payload)
+		if r.U8() != nylon.MsgApp || r.U8() != msgCircStreamAck {
+			return
+		}
+		if m, err := decodeStreamAck(r); err == nil {
+			acks = append(acks, m)
+		}
+	})
+	e := &relayCircuit{id: 7, exit: true, prevDirect: netem.Endpoint{IP: 9, Port: 9}}
+	frag := func(id uint64) streamFrag {
+		return streamFrag{StreamID: id, FragCount: 1, Data: []byte(fmt.Sprintf("msg-%d", id))}
+	}
+
+	w.handleStreamFrag(e, frag(1))
+	for id := uint64(2); id <= streamRecvMax+50; id++ {
+		w.handleStreamFrag(e, frag(id))
+	}
+	acks = nil
+	w.handleStreamFrag(e, frag(1)) // the late retransmit
+
+	if n := got["msg-1"]; n != 1 {
+		t.Fatalf("msg-1 delivered %d times, want exactly once", n)
+	}
+	if len(acks) != 1 || acks[0].StreamID != 1 || acks[0].Cum != 1 || acks[0].Bits != 0 {
+		t.Fatalf("late retransmit acks = %+v, want one full ack of stream 1", acks)
+	}
+	if st := w.Stats(); st.StreamsDelivered != streamRecvMax+50 || st.DupStreamFrags != 1 {
+		t.Fatalf("delivered=%d dup=%d, want %d and 1", st.StreamsDelivered, st.DupStreamFrags, streamRecvMax+50)
+	}
+}
+
+// TestStreamWindowDefaults pins the send window's default and its cap:
+// the selective-ack word reports 64 fragments past the cumulative
+// point, so a wider window could never be acknowledged selectively.
+func TestStreamWindowDefaults(t *testing.T) {
 	cases := []struct {
 		name   string
 		cfg    Config
 		window int
-		dedup  int
 	}{
-		{"defaults", Config{}, 32, 4096},
-		{"dedup below clamp", Config{StreamWindow: 64, CircuitDedupCells: 10}, 64, 256},
-		{"window capped at 64", Config{StreamWindow: 1000, CircuitDedupCells: 10}, 64, 256},
-		{"explicit large dedup kept", Config{CircuitDedupCells: 8192}, 32, 8192},
+		{"defaults", Config{}, 32},
+		{"window capped at 64", Config{StreamWindow: 1000}, 64},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg.withDefaults()
-			if cfg.StreamWindow != tc.window {
-				t.Fatalf("StreamWindow = %d, want %d", cfg.StreamWindow, tc.window)
-			}
-			if cfg.CircuitDedupCells != tc.dedup {
-				t.Fatalf("CircuitDedupCells = %d, want %d", cfg.CircuitDedupCells, tc.dedup)
-			}
-			if cfg.CircuitDedupCells < 4*cfg.StreamWindow {
-				t.Fatalf("invariant violated: dedup %d < 4×window %d", cfg.CircuitDedupCells, cfg.StreamWindow)
+			if got := tc.cfg.withDefaults().StreamWindow; got != tc.window {
+				t.Fatalf("StreamWindow = %d, want %d", got, tc.window)
 			}
 		})
-	}
-	// New must actually size the exit dedup from the clamped config.
-	w := newBareWCLWith(t, Config{StreamWindow: 64, CircuitDedupCells: 1})
-	if got := w.deliveredCells.Cap(); got != 256 {
-		t.Fatalf("deliveredCells capacity = %d, want clamped 256", got)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package wcl implements the WHISPER communication layer: confidential
 // one-way routes over onion paths (§III-A), split across files by role —
 // send.go (source-side one-shot path engine), circuit.go (the circuit
-// layer amortizing onion setup over message streams), forward.go
+// layer amortizing onion setup over a series of messages), stream.go
+// (how every circuit message travels and is acknowledged), forward.go
 // (relay/exit handling), ack.go (backward acknowledgements).
 package wcl
 
@@ -39,16 +40,16 @@ type Config struct {
 
 	// Circuits opts Send into the circuit layer: a first send to a
 	// destination establishes a circuit over the one-shot onion
-	// machinery and later sends ride it as RSA-free data cells. Off by
+	// machinery and later sends ride it as RSA-free stream cells. Off by
 	// default — one-shot remains the wire behavior unless a caller asks
 	// for circuits (the PPSS persistent pool turns them on for its
-	// members). SendCircuit works regardless of this flag.
+	// members). SendStream works regardless of this flag.
 	Circuits bool
 	// CircuitMaxAge rotates a circuit that has been established longer
 	// than this, bounding how long one circuit identifier stays
 	// observable on a path (default 15 minutes).
 	CircuitMaxAge time.Duration
-	// CircuitMaxCells rotates a circuit after this many data cells
+	// CircuitMaxCells rotates a circuit after this many fragment cells
 	// (default 512).
 	CircuitMaxCells int
 	// CircuitIdle tears a circuit down after this long without an
@@ -63,14 +64,6 @@ type Config struct {
 	// CircuitTTL expires relay-side circuit entries this long after
 	// their last use (default 5 minutes).
 	CircuitTTL time.Duration
-	// CircuitDedupCells bounds the exit-side (circID, seq) cell dedup
-	// LRU (default 4096). Invariant: the window must never evict a seq
-	// that could still be retransmitted, or a late retransmit would be
-	// re-delivered and break exactly-once — withDefaults therefore
-	// clamps it to at least 4× StreamWindow (each windowed fragment can
-	// be retransmitted under fresh seqs, so a single window of frags
-	// can occupy several windows' worth of dedup entries).
-	CircuitDedupCells int
 
 	// StreamFragSize is the payload carried by one stream fragment cell
 	// (default DefaultStreamFragSize). Circuit.SendStream splits larger
@@ -146,14 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamRetries == 0 {
 		c.StreamRetries = 4
-	}
-	if c.CircuitDedupCells == 0 {
-		c.CircuitDedupCells = 4096
-	}
-	// Exactly-once invariant: the dedup window must outlive any seq a
-	// stream retransmit can still put on the wire (see the field doc).
-	if min := 4 * c.StreamWindow; c.CircuitDedupCells < min {
-		c.CircuitDedupCells = min
 	}
 	return c
 }
@@ -258,33 +243,31 @@ type Stats struct {
 	CircuitsFailed      uint64
 	CircuitsRotated     uint64
 	CircuitsClosed      uint64
-	// CellsSent/Acked count source-side data+keepalive cells;
-	// CellsForwarded relay hops; CellsDelivered exit-hop app payloads.
+	// CellsSent counts source-side fragment and keepalive cells,
+	// CellsForwarded relay hops.
 	CellsSent      uint64
-	CellsAcked     uint64
 	CellsForwarded uint64
-	CellsDelivered uint64
-	// DupCells counts exit-hop duplicate cells suppressed (re-acked).
-	DupCells uint64
 	// CellDrops counts cells dropped at a relay with no table entry
 	// (expired, evicted, or never set up).
 	CellDrops uint64
-	// CellFallbacks counts data cells that timed out on a circuit and
-	// were re-sent through the one-shot path.
+	// CellFallbacks counts one-fragment circuit messages re-sent through
+	// the one-shot engine because their circuit could not carry them
+	// (StreamFallbacks counts the multi-fragment ones).
 	CellFallbacks uint64
 	// Keepalives counts ping cells sent to keep idle circuits warm.
 	Keepalives uint64
 
-	// Stream layer (see stream.go). StreamsSent counts SendStream
-	// messages launched at the source, StreamsDelivered complete
-	// reassembled messages handed to the exit's OnReceive,
-	// StreamFragsSent/StreamFragsRecv individual fragment cells
-	// (retransmissions included on the send side, duplicates excluded
-	// on the receive side), StreamRetransmits re-sent fragments,
-	// DupStreamFrags exit-side duplicate fragments (re-acked),
-	// StreamsShed SendStream calls refused with ErrStreamBacklog or
-	// ErrStreamTooLarge, StreamFallbacks stream messages re-sent whole
-	// through the one-shot engine after their path broke.
+	// Stream layer (see stream.go), which carries every circuit
+	// message. StreamsSent counts messages launched at the source,
+	// StreamsDelivered complete reassembled messages handed to the
+	// exit's OnReceive, StreamFragsSent/StreamFragsRecv individual
+	// fragment cells (retransmissions included on the send side,
+	// duplicates excluded on the receive side), StreamRetransmits
+	// re-sent fragments, DupStreamFrags exit-side duplicate fragments
+	// (re-acked, never re-delivered), StreamsShed SendStream calls
+	// refused with ErrStreamBacklog or ErrStreamTooLarge,
+	// StreamFallbacks multi-fragment messages re-sent whole through the
+	// one-shot engine because their circuit could not carry them.
 	StreamsSent       uint64
 	StreamsDelivered  uint64
 	StreamFragsSent   uint64
@@ -328,10 +311,7 @@ type met struct {
 	circuitsRotated     *obs.Counter
 	circuitsClosed      *obs.Counter
 	cellsSent           *obs.Counter
-	cellsAcked          *obs.Counter
 	cellsForwarded      *obs.Counter
-	cellsDelivered      *obs.Counter
-	dupCells            *obs.Counter
 	cellDrops           *obs.Counter
 	cellFallbacks       *obs.Counter
 	keepalives          *obs.Counter
@@ -353,7 +333,7 @@ type met struct {
 	peelMS      *obs.Histogram
 	elapsedMS   *obs.Histogram
 	establishMS *obs.Histogram
-	cellMS      *obs.Histogram
+	circuitMS   *obs.Histogram
 	streamBytes *obs.Histogram
 	streamRTT   *obs.Histogram
 }
@@ -382,10 +362,7 @@ func newMet(sc *obs.Scope) met {
 		circuitsRotated:     sc.Counter("wcl_circuits_rotated_total"),
 		circuitsClosed:      sc.Counter("wcl_circuits_closed_total"),
 		cellsSent:           sc.Counter("wcl_cells_sent_total"),
-		cellsAcked:          sc.Counter("wcl_cells_acked_total"),
 		cellsForwarded:      sc.Counter("wcl_cells_forwarded_total"),
-		cellsDelivered:      sc.Counter("wcl_cells_delivered_total"),
-		dupCells:            sc.Counter("wcl_dup_cells_total"),
 		cellDrops:           sc.Counter("wcl_cell_drops_total"),
 		cellFallbacks:       sc.Counter("wcl_cell_fallbacks_total"),
 		keepalives:          sc.Counter("wcl_circuit_keepalives_total"),
@@ -407,7 +384,7 @@ func newMet(sc *obs.Scope) met {
 		peelMS:      sc.Histogram("wcl_peel_ms"),
 		elapsedMS:   sc.Histogram("wcl_send_elapsed_ms"),
 		establishMS: sc.Histogram("wcl_circuit_establish_ms"),
-		cellMS:      sc.Histogram("wcl_cell_elapsed_ms"),
+		circuitMS:   sc.Histogram("wcl_circuit_elapsed_ms"),
 		streamBytes: sc.Histogram("wcl_stream_bytes"),
 		streamRTT:   sc.Histogram("wcl_stream_rtt_ms"),
 	}
@@ -441,14 +418,13 @@ type WCL struct {
 	circuits  map[identity.NodeID]*Circuit
 	circByID  map[uint64]*circPath
 	relayCirc *circTable
-	// streamSeq issues node-unique stream identifiers (see stream.go).
-	streamSeq uint64
-	// deliveredCells gives the exit hop exactly-once delivery of data
-	// cells under network duplication (duplicates are re-acked).
-	deliveredCells *dedup.Seen[cellKey]
 	// streamRecv holds exit-side stream reassembly state, keyed by
 	// (circID, streamID). Entries are bounded and expire (see stream.go).
 	streamRecv map[streamKey]*streamRecvState
+	// deliveredMsgs remembers the circuit messages this node delivered
+	// as an exit, so a late retransmit is re-acknowledged, never
+	// re-delivered.
+	deliveredMsgs *dedup.Seen[streamKey]
 
 	// seenForwards remembers recently handled forwards (pathID folded
 	// with an onion digest, so distinct attempts of one path pass) and
@@ -499,8 +475,8 @@ func New(node *nylon.Node, cfg Config) (*WCL, error) {
 		circByID:       make(map[uint64]*circPath),
 		seenForwards:   dedup.New[uint64](2048),
 		deliveredPaths: dedup.New[uint64](1024),
-		deliveredCells: dedup.New[cellKey](cfg.CircuitDedupCells),
 		streamRecv:     make(map[streamKey]*streamRecvState),
+		deliveredMsgs:  dedup.New[streamKey](deliveredMsgsMax),
 		met:            newMet(cfg.Obs),
 	}
 	w.relayCirc = newCircTable(cfg.CircuitTableMax, cfg.CircuitTTL, w.met.circuitTable)
@@ -547,10 +523,7 @@ func (w *WCL) Stats() Stats {
 		CircuitsRotated:     w.met.circuitsRotated.Value(),
 		CircuitsClosed:      w.met.circuitsClosed.Value(),
 		CellsSent:           w.met.cellsSent.Value(),
-		CellsAcked:          w.met.cellsAcked.Value(),
 		CellsForwarded:      w.met.cellsForwarded.Value(),
-		CellsDelivered:      w.met.cellsDelivered.Value(),
-		DupCells:            w.met.dupCells.Value(),
 		CellDrops:           w.met.cellDrops.Value(),
 		CellFallbacks:       w.met.cellFallbacks.Value(),
 		Keepalives:          w.met.keepalives.Value(),
