@@ -30,7 +30,7 @@ func BenchmarkFig5BiasedPSS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.Fig5ShapeCheck(res); len(bad) != 0 {
+		if bad := res.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}
@@ -48,7 +48,7 @@ func BenchmarkFig6KeySampling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.Fig6ShapeCheck(rows); len(bad) != 0 {
+		if bad := rows.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}
@@ -66,7 +66,7 @@ func BenchmarkTable1RouteChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.Table1ShapeCheck(rows); len(bad) != 0 {
+		if bad := rows.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}
@@ -80,11 +80,11 @@ func BenchmarkFig7RTTBreakdown(b *testing.B) {
 			Seed: int64(400 + i), N: 150, Groups: 3, Exchanges: 150,
 			Warmup: 8 * time.Minute, MaxRun: 12 * time.Minute,
 			PPSS: ppss.Config{KeyBlobSize: 256}, KeyBlob: 256,
-		}, exp.Cluster)
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Samples == 0 {
+		if res.Rows[0].Samples == 0 {
 			b.Fatal("no exchanges sampled")
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkTable2CryptoCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.Table2ShapeCheck(res); len(bad) != 0 {
+		if bad := res.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkCircuitVsOneShot(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.CircuitShapeCheck(res); len(bad) != 0 {
+		if bad := res.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}
@@ -137,7 +137,7 @@ func BenchmarkFig8MultiGroup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if bad := exp.Fig8ShapeCheck(rows); len(bad) != 0 {
+		if bad := rows.ShapeCheck(); len(bad) != 0 {
 			b.Fatalf("shape violations: %v", bad)
 		}
 	}

@@ -13,8 +13,6 @@
 package broadcast
 
 import (
-	"time"
-
 	"whisper/internal/identity"
 	"whisper/internal/obs"
 	"whisper/internal/ppss"
@@ -223,14 +221,4 @@ func (b *Broadcaster) remember(id uint64) {
 		delete(b.seen, b.order[0])
 		b.order = b.order[1:]
 	}
-}
-
-// ExpectedLatency estimates dissemination time for a group of size n:
-// O(log n) forwarding waves, each one WCL route deep.
-func ExpectedLatency(n int, hopRTT time.Duration) time.Duration {
-	waves := 1
-	for c := 1; c < n; c *= 2 {
-		waves++
-	}
-	return time.Duration(waves) * hopRTT
 }

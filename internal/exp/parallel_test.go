@@ -33,17 +33,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("sequential %d results, parallel %d", len(seq), len(par))
+	if len(seq.Rows) != len(par.Rows) {
+		t.Fatalf("sequential %d results, parallel %d", len(seq.Rows), len(par.Rows))
 	}
-	for i := range seq {
+	for i := range seq.Rows {
 		// The sequential path draws keys from the shared process-wide
 		// pool (whose cursor depends on test order), the parallel path
 		// from per-run views — but key assignment must not influence
 		// results, so everything measured has to match exactly.
-		if !reflect.DeepEqual(seq[i], par[i]) {
-			t.Errorf("run %d (Pi=%d): parallel result differs from sequential", i, seq[i].Pi)
+		if !reflect.DeepEqual(seq.Rows[i], par.Rows[i]) {
+			t.Errorf("run %d (Pi=%d): parallel result differs from sequential", i, seq.Rows[i].Pi)
 		}
+	}
+	if seq.Fingerprint != par.Fingerprint {
+		t.Errorf("wire digest %016x at 1 worker, %016x at 3", seq.Fingerprint, par.Fingerprint)
 	}
 }
 

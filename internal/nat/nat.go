@@ -232,9 +232,6 @@ func (d *Device) Type() Type { return d.typ }
 // External returns the device's public address.
 func (d *Device) External() netem.IP { return d.ext }
 
-// Lease returns the association-rule lifetime.
-func (d *Device) Lease() time.Duration { return d.lease }
-
 // AttachInside registers a host on the private side of the device.
 func (d *Device) AttachInside(ip netem.IP, h netem.Handler) {
 	if ip.Public() {

@@ -135,12 +135,6 @@ func (n *Network) Attach(ip IP, h Handler) {
 // silently dropped at delivery time.
 func (n *Network) Detach(ip IP) { delete(n.hosts, ip) }
 
-// Attached reports whether some handler is attached at ip.
-func (n *Network) Attached(ip IP) bool {
-	_, ok := n.hosts[ip]
-	return ok
-}
-
 // Stats reports totals of datagrams sent and dropped (loss + dead
 // destination) since creation.
 func (n *Network) Stats() (sent, dropped uint64) { return n.sent, n.dropped }

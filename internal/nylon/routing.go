@@ -231,9 +231,6 @@ func (n *Node) ContactIDs() []identity.NodeID {
 	return out
 }
 
-// HasContact reports whether a usable direct contact to id exists.
-func (n *Node) HasContact(id identity.NodeID) bool { return n.usableContact(id) }
-
 // routeTo picks the relay chain for reaching d: empty for a direct
 // send (live contact, or a P-node with a known address), d.Route when
 // its first relay is reachable.

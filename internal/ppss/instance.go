@@ -3,6 +3,8 @@ package ppss
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"whisper/internal/crypt"
@@ -36,16 +38,6 @@ type Config struct {
 	// PCPRefresh is the persistent-path refresh period (§IV-C; lower
 	// frequency than gossip, bounded by the NAT lease).
 	PCPRefresh time.Duration
-	// PoolCircuits routes traffic to persistent-pool members over WCL
-	// circuits: the pool is exactly the set of partners a node
-	// re-contacts indefinitely, so the one-time circuit setup amortizes
-	// and the periodic PCP ping doubles as the circuit's keepalive.
-	// Gossip shuffles take the same route when the partner is pooled
-	// (or a circuit already exists), so steady-state shuffling with
-	// persistent partners pays symmetric cells instead of fresh onions.
-	// Defaults to on (set to a false pointer to disable); one-shot
-	// remains the path for everything outside the pool.
-	PoolCircuits *bool
 	// HeartbeatTimeout is how stale the leader heartbeat may grow
 	// before an election starts (§IV-A).
 	HeartbeatTimeout time.Duration
@@ -102,10 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AnnounceFor == 0 {
 		c.AnnounceFor = 10 * c.Cycle
-	}
-	if c.PoolCircuits == nil {
-		on := true
-		c.PoolCircuits = &on
 	}
 	return c
 }
@@ -312,9 +300,6 @@ func (in *Instance) Group() GroupID { return in.grp }
 
 // IsLeader reports whether this node holds the group private key.
 func (in *Instance) IsLeader() bool { return in.groupPriv != nil }
-
-// LeaderID returns the best-known leader.
-func (in *Instance) LeaderID() identity.NodeID { return in.leaderID }
 
 // Epoch returns the current group key epoch.
 func (in *Instance) Epoch() uint32 { return in.history.Epoch() }
@@ -550,15 +535,16 @@ func (in *Instance) Invite(invitee identity.NodeID) (Accreditation, Entry, error
 
 // wclSend routes one encoded message to a member. Persistent-pool
 // members — and any destination that already has an established
-// circuit — ride the WCL circuit layer when PoolCircuits is on (the
-// circuit transparently falls back to one-shot sends when it breaks);
-// everything else pays the ordinary one-shot onion path.
+// circuit — ride the WCL circuit layer (the circuit transparently
+// falls back to one-shot sends when it breaks): the pool is exactly
+// the set of partners a node re-contacts indefinitely, so the one-time
+// circuit setup amortizes and the periodic PCP ping doubles as the
+// circuit's keepalive. Everything else pays the ordinary one-shot
+// onion path.
 func (in *Instance) wclSend(e Entry, encoded []byte, done func(wcl.Result)) {
-	if *in.cfg.PoolCircuits {
-		if _, pooled := in.pcp[e.ID]; pooled || in.r.w.HasCircuit(e.ID) {
-			in.r.w.SendStream(e.Dest(), encoded, done)
-			return
-		}
+	if _, pooled := in.pcp[e.ID]; pooled || in.r.w.HasCircuit(e.ID) {
+		in.r.w.SendStream(e.Dest(), encoded, done)
+		return
 	}
 	in.r.w.Send(e.Dest(), encoded, done)
 }
@@ -657,25 +643,24 @@ func (in *Instance) MakePersistent(e Entry) {
 // DropPersistent removes a member from the pool.
 func (in *Instance) DropPersistent(id identity.NodeID) { delete(in.pcp, id) }
 
-// PersistentIDs lists the pooled members.
+// PersistentIDs lists the pooled members in ID order.
 func (in *Instance) PersistentIDs() []identity.NodeID {
-	out := make([]identity.NodeID, 0, len(in.pcp))
-	for id := range in.pcp {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(in.pcp))
 }
 
 // refreshPCP pings every pooled member so both sides refresh helper
 // sets and keep NAT routes warm. A member that has not answered for
 // several refresh periods is considered failed and dropped from the
-// pool (the application observes it via PersistentIDs).
+// pool (the application observes it via PersistentIDs). Members are
+// pinged in ID order: the sends draw randomness, so map order would
+// make the run irreproducible.
 func (in *Instance) refreshPCP() {
 	if in.stopped {
 		return
 	}
 	now := in.rt.Now()
-	for id, st := range in.pcp {
+	for _, id := range in.PersistentIDs() {
+		st := in.pcp[id]
 		if now-st.lastOK > 4*in.cfg.PCPRefresh {
 			delete(in.pcp, id)
 			in.met.pcpDropped.Inc()

@@ -216,21 +216,6 @@ func (p *PubSub) Subscribe(topic string) error {
 	return nil
 }
 
-// Unsubscribe drops a topic. Bloom filters cannot unset bits, so the
-// filter is rebuilt from the remaining subscriptions.
-func (p *PubSub) Unsubscribe(topic string) {
-	tag := HashTopic(topic)
-	if _, ok := p.topics[tag]; !ok {
-		return
-	}
-	delete(p.topics, tag)
-	p.filter = NewFilter(p.cfg.FilterBits, p.cfg.FilterHashes)
-	for t := range p.topics {
-		p.filter.Add(t)
-	}
-	p.pushDigest()
-}
-
 // pushDigest versions the filter and hands it to the PPSS instance for
 // shuffle piggybacking.
 func (p *PubSub) pushDigest() {

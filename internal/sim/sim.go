@@ -579,7 +579,7 @@ func (w *World) Now() time.Duration {
 	return w.Sim.Now()
 }
 
-// Run executes events until the world goes quiet or StopRun is called.
+// Run executes events until the world goes quiet.
 func (w *World) Run() {
 	if w.eng != nil {
 		w.eng.Run()
@@ -604,16 +604,6 @@ func (w *World) RunFor(d time.Duration) {
 		return
 	}
 	w.Sim.RunFor(d)
-}
-
-// StopRun makes the current Run/RunUntil return; the world may be
-// resumed afterwards.
-func (w *World) StopRun() {
-	if w.eng != nil {
-		w.eng.Stop()
-		return
-	}
-	w.Sim.Stop()
 }
 
 // Schedule runs fn at absolute virtual time at on the control plane —

@@ -2,6 +2,8 @@ package tchord
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"time"
 
 	"whisper/internal/obs"
@@ -179,24 +181,6 @@ func (n *Node) Successor() (ppss.Entry, bool) {
 	p, ok := n.succ.Best()
 	return p.E, ok
 }
-
-// Predecessor returns the current best predecessor.
-func (n *Node) Predecessor() (ppss.Entry, bool) {
-	p, ok := n.pred.Best()
-	return p.E, ok
-}
-
-// Neighbors returns the successor list (best first).
-func (n *Node) Neighbors() []ppss.Entry {
-	var out []ppss.Entry
-	for _, p := range n.succ.Entries() {
-		out = append(out, p.E)
-	}
-	return out
-}
-
-// StoreSize returns the number of keys this node holds.
-func (n *Node) StoreSize() int { return len(n.store) }
 
 // Start begins periodic T-Man exchanges.
 func (n *Node) Start() {
@@ -527,8 +511,10 @@ func (n *Node) encodeExchange(tag uint8) []byte {
 	for _, p := range n.pred.Entries() {
 		add(p)
 	}
-	for _, p := range n.fingers {
-		add(p)
+	// Fingers go by level: the list is cut at 32 below, so map order
+	// would pick which fingers ship.
+	for _, lvl := range slices.Sorted(maps.Keys(n.fingers)) {
+		add(n.fingers[lvl])
 	}
 	if len(peers) > 32 {
 		peers = peers[:32]

@@ -87,10 +87,6 @@ func (f *Fabric) Assign(ip transport.IP, s int) {
 	f.shardOf[ip] = s
 }
 
-// Unassign removes ip from the routing table (node death). Only between
-// windows, like Assign.
-func (f *Fabric) Unassign(ip transport.IP) { delete(f.shardOf, ip) }
-
 // Stats sums sent/dropped datagram totals across all shard networks.
 func (f *Fabric) Stats() (sent, dropped uint64) {
 	for _, n := range f.nets {

@@ -105,8 +105,8 @@ type circPath struct {
 }
 
 // Circuit is a reusable confidential session to one destination. It is
-// obtained from OpenCircuit (or transparently through Send when
-// Config.Circuits is set) and must only be used from the node's
+// obtained from OpenCircuit (or transparently through SendStream) and
+// must only be used from the node's
 // dispatch context, like every other WCL entry point.
 type Circuit struct {
 	w    *WCL

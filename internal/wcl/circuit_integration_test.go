@@ -16,8 +16,7 @@ import (
 )
 
 // buildCircuitWorld builds a converged world with the given circuit
-// knobs (Circuits itself stays off: the tests drive SendStream
-// explicitly, which works regardless of the flag).
+// knobs; the tests drive SendStream explicitly.
 func buildCircuitWorld(t testing.TB, seed int64, n int, cfg wcl.Config) *sim.World {
 	t.Helper()
 	if cfg.MinPublic == 0 {
@@ -490,8 +489,8 @@ func TestEarlyFailureEmitsOneResultAndNoTrace(t *testing.T) {
 	}
 }
 
-// TestCircuitsDisabledIsZeroBehavior fingerprints the default
-// configuration: with Config.Circuits unset, one-shot traffic must
+// TestCircuitsDisabledIsZeroBehavior fingerprints one-shot-only
+// traffic: with no SendStream caller, plain Send traffic must
 // leave every circuit counter at zero on every node, never put a
 // circuit message tag on the wire, and never emit a circuit trace
 // kind — the circuit code is provably off-path.
@@ -552,36 +551,6 @@ func TestCircuitsDisabledIsZeroBehavior(t *testing.T) {
 		if ev.Kind == obs.KindCellSend || ev.Kind == obs.KindCellForward || ev.Kind == obs.KindCellDeliver {
 			t.Fatalf("circuit trace kind %v emitted with circuits disabled", ev.Kind)
 		}
-	}
-}
-
-// TestCircuitsFlagRoutesSendThroughCircuits: with Config.Circuits set,
-// plain Send transparently rides circuits.
-func TestCircuitsFlagRoutesSendThroughCircuits(t *testing.T) {
-	w := buildCircuitWorld(t, 49, 120, wcl.Config{Circuits: true})
-	natted := w.LiveNatted()
-	s, d := natted[0], natted[1]
-	got := 0
-	d.WCL.OnReceive = func([]byte) { got++ }
-
-	const sends = 5
-	ok := 0
-	for i := 0; i < sends; i++ {
-		s.WCL.Send(destFor(w, d, 3), []byte(fmt.Sprintf("flag-%d", i)), func(r wcl.Result) {
-			if r.Outcome != wcl.Failed {
-				ok++
-			}
-		})
-		w.Sim.RunFor(2 * time.Second)
-	}
-	w.Sim.RunFor(30 * time.Second)
-
-	if ok < sends || got < sends {
-		t.Fatalf("acked %d delivered %d of %d", ok, got, sends)
-	}
-	st := s.WCL.Stats()
-	if st.CircuitsEstablished == 0 || st.CellsSent == 0 {
-		t.Fatalf("Send did not ride the circuit layer with Circuits=true: %+v", st)
 	}
 }
 

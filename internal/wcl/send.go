@@ -32,14 +32,9 @@ type pendingSend struct {
 // Send opens a confidential one-way route to dest and delivers payload
 // over it. done (optional) receives the final Result. Content privacy
 // comes from the AES encryption under a fresh key k; relationship
-// anonymity from the onion path S → A → B → dest. When Config.Circuits
-// is set the send rides the circuit layer instead (one-shot remains
-// the fallback there).
+// anonymity from the onion path S → A → B → dest. SendStream is the
+// circuit-layer counterpart.
 func (w *WCL) Send(dest Dest, payload []byte, done func(Result)) {
-	if w.cfg.Circuits {
-		w.SendStream(dest, payload, done)
-		return
-	}
 	w.sendOneShot(dest, payload, w.rt.Now(), done)
 }
 

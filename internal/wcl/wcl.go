@@ -38,13 +38,6 @@ type Config struct {
 	// AckTTL bounds how long hops remember backward-routing state.
 	AckTTL time.Duration
 
-	// Circuits opts Send into the circuit layer: a first send to a
-	// destination establishes a circuit over the one-shot onion
-	// machinery and later sends ride it as RSA-free stream cells. Off by
-	// default — one-shot remains the wire behavior unless a caller asks
-	// for circuits (the PPSS persistent pool turns them on for its
-	// members). SendStream works regardless of this flag.
-	Circuits bool
 	// CircuitMaxAge rotates a circuit that has been established longer
 	// than this, bounding how long one circuit identifier stays
 	// observable on a path (default 15 minutes).
