@@ -6,9 +6,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"whisper/internal/crypt"
-	"whisper/internal/sim"
 )
 
 // RunStat is one machine-readable timing record: a single simulation
@@ -122,15 +119,17 @@ func (b *BenchLog) WriteJSON(path string) error {
 // -benchjson is set; it is nil (and recording free) otherwise.
 var BenchSink *BenchLog
 
-// recordRun merges one finished run's meters into the bench sink.
-func recordRun(name string, start time.Time, w *sim.World) {
+// end merges the finished run's meters into the bench sink and
+// returns its wire digest.
+func (r *run) end() uint64 {
 	if BenchSink == nil {
-		return
+		return r.wire.sum()
 	}
-	wall := time.Since(start)
+	w := r.World
+	wall := time.Since(r.start)
 	cpu := w.CPUTotal()
 	st := RunStat{
-		Name:       name,
+		Name:       r.name,
 		Faults:     w.Opts.Faults.String(),
 		WallMS:     float64(wall.Microseconds()) / 1000,
 		Events:     w.Executed(),
@@ -152,13 +151,5 @@ func recordRun(name string, start time.Time, w *sim.World) {
 		st.EventsPerSec = float64(st.Events) / secs
 	}
 	BenchSink.Record(st)
-}
-
-// mergeCPU is a convenience for tests: the summed meters of runs.
-func mergeCPU(ms []crypt.CPUMeter) crypt.CPUMeter {
-	var out crypt.CPUMeter
-	for _, m := range ms {
-		out.Add(m)
-	}
-	return out
+	return r.wire.sum()
 }

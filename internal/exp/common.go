@@ -1,9 +1,10 @@
 // Package exp reproduces every table and figure of the paper's
 // evaluation (§V). Each experiment has a Config with the paper's
-// parameters as defaults, a Run function returning structured results,
-// and a Print function emitting the same rows/series the paper reports.
-// The whisper-exp command drives them at paper scale; bench_test.go at
-// reduced scale.
+// parameters as defaults and a function returning a result that prints
+// the rows/series the paper reports, checks the paper's shape and
+// carries the wire digest of its runs (see Report). The Experiments
+// table drives them from whisper-exp at paper scale; bench_test.go runs
+// them at reduced scale.
 package exp
 
 import (
@@ -17,7 +18,6 @@ import (
 	"whisper/internal/ppss"
 	"whisper/internal/sim"
 	"whisper/internal/stats"
-	"whisper/internal/wcl"
 )
 
 // Env selects the emulated testbed of §V-A.
@@ -50,15 +50,12 @@ func (e Env) Model() netem.LatencyModel {
 var keyPool = identity.TestPool(64)
 
 // ObsRoot, when non-nil, parents the metric instruments of every
-// experiment world; whisper-exp points it at a registry scope when
-// -metrics-out is set. Nil (the default) runs experiments unobserved,
-// which the fig5 golden test pins as byte-identical.
+// experiment world under a "run" label naming the run; whisper-exp
+// points it at a registry scope when -metrics-out is set. The registry
+// is concurrency-safe, so parallel runs share it. Nil (the default)
+// runs experiments unobserved, which the fig5 golden test pins as
+// byte-identical.
 var ObsRoot *obs.Scope
-
-// worldObs derives the scope for one named run (nil when observability
-// is off). The registry is concurrency-safe, so parallel runs share it;
-// the run label keeps their node instruments apart.
-func worldObs(run string) *obs.Scope { return ObsRoot.With("run", run) }
 
 // runPool returns the key pool for run i of an experiment executing
 // with the given worker count. The sequential path keeps the shared
@@ -83,11 +80,32 @@ type groupSet struct {
 	members map[ppss.GroupID][]*sim.Node
 }
 
-// formGroups creates count groups led by distinct nodes (preferring
-// P-nodes, like the paper's Fig 8 setup) and subscribes each remaining
-// node to groupsPerNode random groups. Joins are retried, as a user
-// re-requesting an invitation would.
-func formGroups(w *sim.World, count, groupsPerNode int) *groupSet {
+// ppssConfig fills c's zero fields with the group experiments' setup:
+// keyBlob-byte key blobs, the given number of helper P-nodes per
+// destination, and a one-minute cycle (the PPSS default, spelled out
+// because experiments read it).
+func ppssConfig(c ppss.Config, keyBlob, helpers int) *ppss.Config {
+	if c.KeyBlobSize == 0 {
+		c.KeyBlobSize = keyBlob
+	}
+	if c.MinHelpers == 0 {
+		c.MinHelpers = helpers
+	}
+	if c.Cycle == 0 {
+		c.Cycle = time.Minute
+	}
+	return &c
+}
+
+// formGroups lets the public underlay settle for four minutes, creates
+// count groups led by distinct nodes (preferring P-nodes, like the
+// paper's Fig 8 setup), subscribes each remaining node to
+// groupsPerNode random groups and runs on to warmup. Joins are
+// retried, as a user re-requesting an invitation would.
+func (r *run) formGroups(count, groupsPerNode int, warmup time.Duration) *groupSet {
+	defer r.RunUntil(warmup)
+	r.RunUntil(4 * time.Minute)
+	w := r.World
 	gs := &groupSet{w: w, members: make(map[ppss.GroupID][]*sim.Node)}
 	leaders := w.LivePublics()
 	if len(leaders) < count {
@@ -148,29 +166,32 @@ func (gs *groupSet) JoinRandom(node *sim.Node) {
 	gs.join(node, gs.w.Sim.Rand().Intn(len(gs.names)), 1)
 }
 
-// aggregateWCL sums WCL statistics across live nodes.
-func aggregateWCL(w *sim.World) wcl.Stats {
-	var out wcl.Stats
-	for _, n := range w.Live() {
-		if n.WCL == nil {
-			continue
+// routeStats counts WCL route outcomes, and duplicate forwards or
+// deliveries suppressed, summed over live nodes.
+type routeStats struct{ first, alt, failed, dups uint64 }
+
+func (s routeStats) routes() float64 { return float64(s.first + s.alt + s.failed) }
+
+// measureWCL runs the world for d and returns the route statistics
+// accumulated meanwhile.
+func (r *run) measureWCL(d time.Duration) routeStats {
+	total := func() (s routeStats) {
+		for _, n := range r.Live() {
+			if n.WCL != nil {
+				st := n.WCL.Stats()
+				s.first += st.FirstTrySuccess
+				s.alt += st.AltSuccess
+				s.failed += st.Failed
+				s.dups += st.DupForwards + st.DupDeliveries
+			}
 		}
-		s := n.WCL.Stats()
-		out.Sent += s.Sent
-		out.FirstTrySuccess += s.FirstTrySuccess
-		out.AltSuccess += s.AltSuccess
-		out.Failed += s.Failed
-		out.NoAltFailed += s.NoAltFailed
-		out.MixesTriedSum += s.MixesTriedSum
-		out.HelpersTriedSum += s.HelpersTriedSum
-		out.Delivered += s.Delivered
-		out.ForwardsPeeled += s.ForwardsPeeled
-		out.PeelErrors += s.PeelErrors
-		out.DropNoContact += s.DropNoContact
-		out.DupForwards += s.DupForwards
-		out.DupDeliveries += s.DupDeliveries
+		return s
 	}
-	return out
+	before := total()
+	r.RunFor(d)
+	after := total()
+	return routeStats{after.first - before.first, after.alt - before.alt,
+		after.failed - before.failed, after.dups - before.dups}
 }
 
 // printCDF emits a sampled CDF as "value fraction" rows.
